@@ -442,20 +442,25 @@ void Coordinator::bind(Network& net) {
   bound_ = true;
 }
 
+void Coordinator::fold(deliver::RoundTally& t,
+                       const deliver::RoundTally& shards) {
+  t.merge(shards);
+  traffic_.messages += shards.traffic_messages;
+  traffic_.bits += shards.traffic_bits;
+}
+
 void Coordinator::exchange_dist(Network& net,
                                 const std::vector<Network::Outbox>& outboxes,
-                                std::uint64_t round, RoundFaults& rf,
-                                std::size_t& round_max_bits) {
-  const Graph& g = graph_;
-  const std::uint32_t n = g.n();
+                                const deliver::ByteRule& rule,
+                                deliver::RoundTally& t) {
+  const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
-  const FaultPlan* plan = DistBackend::faults(net);
-  const bool faulty = plan != nullptr && plan->any();
+  const std::uint64_t round = rule.round;
 
   std::string ctx;
   {
     PayloadWriter w;
-    encode_fault_ctx(w, plan, DistBackend::down(net), n);
+    encode_fault_ctx(w, rule.plan, DistBackend::down(net), n);
     ctx = w.take();
   }
   for (std::size_t k = 0; k < K; ++k) {
@@ -600,13 +605,13 @@ void Coordinator::exchange_dist(Network& net,
   offsets[n] = total;
   if (slots.size() != total) slots.resize(total);
 
-  RunMetrics& m = DistBackend::metrics(net);
+  deliver::RoundTally shards;
   for (std::size_t k = 0; k < K; ++k) {
     const NodeId b = part_.begin(k);
     const NodeId owned = part_.end(k) - b;
     const std::uint32_t count = inbox[k]->header.count;
     PayloadReader r(inbox[k]->payload, "inbox");
-    const ShardRoundSummary sum = decode_summary(r);
+    shards.merge(decode_summary(r));
     for (NodeId lv = 0; lv < owned; ++lv) {
       offsets[b + lv] = base[k] + r.u32();
     }
@@ -620,20 +625,8 @@ void Coordinator::exchange_dist(Network& net,
       slot.second = decode_message(r);
     }
     r.expect_end();
-    // Deterministic merge in ascending shard order: sums and maxes only.
-    m.messages += sum.messages;
-    m.total_bits += sum.total_bits;
-    m.max_message_bits = std::max<std::size_t>(
-        m.max_message_bits, static_cast<std::size_t>(sum.max_message_bits));
-    m.congest_violations += sum.congest_violations;
-    round_max_bits = std::max<std::size_t>(
-        round_max_bits, static_cast<std::size_t>(sum.round_max_bits));
-    rf.dropped += sum.dropped;
-    rf.corrupted += sum.corrupted;
-    traffic_.messages += sum.traffic_messages;
-    traffic_.bits += sum.traffic_bits;
   }
-  (void)faulty;
+  fold(t, shards);
 }
 
 std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
@@ -666,18 +659,18 @@ std::vector<Frame> Coordinator::collect_replies(FrameKind kind,
 
 void Coordinator::broadcast_fill_dist(Network& net,
                                       const std::vector<Message>& msgs,
-                                      const std::vector<bool>* /*active*/,
-                                      std::uint64_t round, RoundFaults& rf,
-                                      bool all_live) {
-  const Graph& g = graph_;
-  const std::uint32_t n = g.n();
+                                      const deliver::ByteRule& rule,
+                                      bool all_live, deliver::RoundTally& t) {
+  const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
+  const std::uint64_t round = rule.round;
   MailArena& a = DistBackend::arena(net);
   std::vector<std::uint32_t>& offsets = DistBackend::arena_offsets(a);
   std::vector<MailSlot>& slots = DistBackend::arena_slots(a);
   if (offsets.size() < static_cast<std::size_t>(n) + 1) {
     offsets.resize(static_cast<std::size_t>(n) + 1);
   }
+  deliver::RoundTally shards;
 
   if (all_live) {
     // Degenerate fast path: no mask, no faults — every inbox is the
@@ -685,29 +678,21 @@ void Coordinator::broadcast_fill_dist(Network& net,
     // without a round trip. Logical traffic still accrues exactly as the
     // in-process engine counts it: one unit per delivered slot whose
     // sender lies outside the destination's shard range.
-    std::uint32_t total = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      offsets[v] = total;
-      total += g.degree(v);
-    }
-    offsets[n] = total;
+    const deliver::ByteFlags sends{nullptr};  // all_live: never read
+    const std::uint32_t total = deliver::survivor_offsets(
+        rule, 0, n, true, sends, shards, offsets.data());
     if (slots.size() != total) slots.resize(total);
-    std::size_t k = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      while (v >= part_.end(k)) ++k;
+    MailSlot* slot = slots.data();
+    for (std::size_t k = 0; k < K; ++k) {
       const NodeId b = part_.begin(k);
       const NodeId e = part_.end(k);
-      std::uint32_t cur = offsets[v];
-      for (NodeId u : g.neighbors(v)) {
-        MailSlot& slot = slots[cur++];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (u < b || u >= e) {
-          ++traffic_.messages;
-          traffic_.bits += msgs[u].bit_count();
-        }
-      }
+      deliver::survivor_fill(rule, b, e, true, sends,
+                             [&](NodeId u, NodeId v, bool) {
+                               shards.cut(u, b, e, msgs[u].bit_count());
+                               rule.put(*slot++, u, v, msgs[u], false);
+                             });
     }
+    fold(t, shards);
     return;
   }
 
@@ -716,12 +701,10 @@ void Coordinator::broadcast_fill_dist(Network& net,
   // the payload slots (it holds the messages, so uncorrupted deliveries
   // keep sharing one refcounted payload, as in-process) and re-resolves
   // the pure PRF corruption on the destination's CoW copy.
-  const FaultPlan* plan = DistBackend::faults(net);
-  const bool faulty = plan != nullptr && plan->any();
   std::string payload;
   {
     PayloadWriter w;
-    encode_fault_ctx(w, plan, DistBackend::down(net), n);
+    encode_fault_ctx(w, rule.plan, DistBackend::down(net), n);
     const std::string bits =
         pack_bitmap(DistBackend::arena_transmits(a), n);
     w.raw(bits.data(), bits.size());
@@ -748,8 +731,8 @@ void Coordinator::broadcast_fill_dist(Network& net,
     const NodeId owned = e - b;
     const std::uint32_t count = replies[k].header.count;
     PayloadReader r(replies[k].payload, "inbox_ids");
-    rf.dropped += r.u64();
-    rf.corrupted += r.u64();
+    shards.dropped += r.u64();
+    shards.corrupted += r.u64();
     std::vector<std::uint32_t> local(static_cast<std::size_t>(owned) + 1);
     for (NodeId lv = 0; lv <= owned; ++lv) local[lv] = r.u32();
     if (local[owned] != count) {
@@ -761,30 +744,26 @@ void Coordinator::broadcast_fill_dist(Network& net,
       const NodeId v = b + lv;
       for (std::uint32_t i = local[lv]; i < local[lv + 1]; ++i) {
         const NodeId u = r.u32();
-        MailSlot& slot = slots[base[k] + i];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (u < b || u >= e) {
-          ++traffic_.messages;
-          traffic_.bits += msgs[u].bit_count();
-        }
-        if (faulty && plan->corrupts_message(round, u, v)) {
-          plan->corrupt_payload(round, u, v, slot.second);
-        }
+        shards.cut(u, b, e, msgs[u].bit_count());
+        rule.put(slots[base[k] + i], u, v, msgs[u],
+                 rule.plan != nullptr && rule.corrupts(u, v));
       }
     }
     r.expect_end();
   }
+  fold(t, shards);
 }
 
 void Coordinator::word_fill_dist(Network& net,
                                  const std::vector<std::uint64_t>& words,
-                                 std::size_t bits, std::uint64_t round,
-                                 RoundFaults& rf, bool all_live) {
-  const Graph& g = graph_;
-  const std::uint32_t n = g.n();
+                                 std::size_t bits,
+                                 const deliver::ByteRule& rule, bool all_live,
+                                 deliver::RoundTally& t) {
+  const std::uint32_t n = graph_.n();
   const std::size_t K = conns_.size();
+  const std::uint64_t round = rule.round;
   MailArena& a = DistBackend::arena(net);
+  deliver::RoundTally shards;
 
   if (all_live) {
     // Dense mode is coordinator-local (the serial one-word-per-sender
@@ -793,17 +772,17 @@ void Coordinator::word_fill_dist(Network& net,
     if (aw.size() < n) aw.resize(n);
     std::copy(words.begin(), words.end(), aw.begin());
     for (const WorkerConn& c : conns_) {
-      traffic_.messages += c.ghost_edges;
-      traffic_.bits += c.ghost_edges * bits;
+      shards.traffic_messages += c.ghost_edges;
+      shards.traffic_bits += c.ghost_edges * bits;
     }
+    fold(t, shards);
     return;
   }
 
-  const FaultPlan* plan = DistBackend::faults(net);
   std::string ctx;
   {
     PayloadWriter w;
-    encode_fault_ctx(w, plan, DistBackend::down(net), n);
+    encode_fault_ctx(w, rule.plan, DistBackend::down(net), n);
     ctx = w.take();
   }
   const std::string bitmap =
@@ -841,10 +820,10 @@ void Coordinator::word_fill_dist(Network& net,
     const NodeId owned = part_.end(k) - b;
     const std::uint32_t count = replies[k].header.count;
     PayloadReader r(replies[k].payload, "inbox_words");
-    rf.dropped += r.u64();
-    rf.corrupted += r.u64();
-    traffic_.messages += r.u64();
-    traffic_.bits += r.u64();
+    shards.dropped += r.u64();
+    shards.corrupted += r.u64();
+    shards.traffic_messages += r.u64();
+    shards.traffic_bits += r.u64();
     for (NodeId lv = 0; lv < owned; ++lv) {
       offsets[b + lv] = base[k] + r.u32();
     }
@@ -859,6 +838,7 @@ void Coordinator::word_fill_dist(Network& net,
     }
     r.expect_end();
   }
+  fold(t, shards);
 }
 
 void Coordinator::shutdown_workers() {

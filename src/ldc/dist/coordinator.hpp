@@ -108,15 +108,14 @@ class Coordinator : public DistBackend {
   void bind(Network& net) override;
   void exchange_dist(Network& net,
                      const std::vector<Network::Outbox>& outboxes,
-                     std::uint64_t round, RoundFaults& rf,
-                     std::size_t& round_max_bits) override;
+                     const deliver::ByteRule& rule,
+                     deliver::RoundTally& t) override;
   void broadcast_fill_dist(Network& net, const std::vector<Message>& msgs,
-                           const std::vector<bool>* active,
-                           std::uint64_t round, RoundFaults& rf,
-                           bool all_live) override;
+                           const deliver::ByteRule& rule, bool all_live,
+                           deliver::RoundTally& t) override;
   void word_fill_dist(Network& net, const std::vector<std::uint64_t>& words,
-                      std::size_t bits, std::uint64_t round, RoundFaults& rf,
-                      bool all_live) override;
+                      std::size_t bits, const deliver::ByteRule& rule,
+                      bool all_live, deliver::RoundTally& t) override;
 
  private:
   struct WorkerConn {
@@ -174,6 +173,10 @@ class Coordinator : public DistBackend {
                                          const std::string& what) const;
 
   std::size_t shard_of(NodeId v) const { return part_.shard_of(v); }
+
+  /// Merges a round's per-shard tallies into `t` and adds their cut
+  /// traffic to the run's logical counters.
+  void fold(deliver::RoundTally& t, const deliver::RoundTally& shards);
 
   std::shared_ptr<const storage::MappedGraph> mg_;
   Graph graph_;  ///< zero-copy view pinning the mapping

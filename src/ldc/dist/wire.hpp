@@ -18,7 +18,7 @@
 // Payloads are flat little-endian records built/parsed through
 // PayloadWriter/PayloadReader; every reader overrun throws FrameError.
 // The per-round payloads serialize the SAME data the in-process sharded
-// engine stages in memory: per-(src,dst) ShardBatchEntry buffers become
+// engine stages in memory: per-(src,dst) staged-message buffers become
 // kBatch frames, per-shard inbox CSRs come back as kInbox frames, and
 // the fault context ships the plan parameters plus the round's down
 // bitmap so workers re-resolve the pure PRF drop/corrupt decisions
@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
+#include "ldc/runtime/deliver.hpp"
 #include "ldc/runtime/fault.hpp"
 #include "ldc/runtime/message.hpp"
 
@@ -255,19 +256,10 @@ FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n);
 void encode_message(PayloadWriter& w, const Message& m);
 Message decode_message(PayloadReader& r);
 
-/// Per-shard staging totals of one exchange round, merged by the
-/// coordinator in ascending shard order (mirrors ShardState's staging).
-struct ShardRoundSummary {
-  std::uint64_t messages = 0;
-  std::uint64_t total_bits = 0;
-  std::uint64_t max_message_bits = 0;
-  std::uint64_t congest_violations = 0;
-  std::uint64_t round_max_bits = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t traffic_messages = 0;
-  std::uint64_t traffic_bits = 0;
-};
+/// A worker's share of one exchange round — the kernel's round tally,
+/// nine u64 fields in declaration order on the wire — merged by the
+/// coordinator in ascending shard order.
+using ShardRoundSummary = deliver::RoundTally;
 
 void encode_summary(PayloadWriter& w, const ShardRoundSummary& s);
 ShardRoundSummary decode_summary(PayloadReader& r);

@@ -1,12 +1,12 @@
 // ShardWorker: the per-process delivery plane of the distributed engine.
 //
-// The round bodies here are line-for-line mirrors of the Engine::kSharded
-// bodies in runtime/shard.cpp — validation order, accounting order, the
-// pre-drop remote-traffic count, destination-side corruption on the CoW
-// slot copy, and the ascending-source-shard fill that reproduces the
-// serial sender order. Anywhere the in-process engine reads shared
-// memory, this one reads a decoded frame; everything else is identical,
-// which is what makes the cross-engine digest equality hold.
+// The round bodies apply the same delivery kernel (runtime/deliver.hpp)
+// as the in-process engines, over the worker's own vertex range: phase A
+// of an exchange is outbox_pass, phase B is source_order_fill, and
+// broadcast/word rounds are the receiver scan. Where the in-process
+// sharded engine reads shared memory, this one reads a decoded frame; the
+// fate of every edge is decided by the same code, which is what makes the
+// cross-engine digest equality hold.
 #include "ldc/dist/worker.hpp"
 
 #include <algorithm>
@@ -25,21 +25,6 @@
 namespace ldc::dist {
 namespace {
 
-/// Same contract (and exception text) as every other engine: checked per
-/// sender before any of that sender's messages are validated.
-void check_unique_destinations(
-    const std::vector<std::pair<NodeId, Message>>& outbox,
-    std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
-}
-
 /// Coordinator told us to discard the in-flight round (another shard
 /// errored); unwinds the round handler back to the serve loop.
 struct AbortRound {
@@ -51,6 +36,14 @@ struct ShutdownRequested {};
 
 bool bitmap_bit(std::string_view bits, NodeId v) {
   return (static_cast<std::uint8_t>(bits[v >> 3]) >> (v & 7)) & 1u;
+}
+
+/// The round's per-edge rule over a decoded fault context.
+auto make_rule(const Graph& g, std::size_t budget_bits, bool strict,
+               const FaultCtx& ctx, std::uint64_t round) {
+  return deliver::Rule{g, deliver::Budget{budget_bits, strict},
+                       ctx.faulty ? &ctx.plan : nullptr,
+                       [&ctx](NodeId v) { return ctx.down_bit(v); }, round};
 }
 
 }  // namespace
@@ -184,7 +177,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
                      std::to_string(f.header.count) + " != owned " +
                      std::to_string(owned));
   }
-  std::vector<std::vector<std::pair<NodeId, Message>>> out(owned);
+  std::vector<Network::Outbox> out(owned);
   for (NodeId lu = 0; lu < owned; ++lu) {
     const std::uint32_t len = r.u32();
     out[lu].reserve(len);
@@ -195,69 +188,25 @@ void ShardWorker::handle_outbox(const Frame& f) {
   }
   r.expect_end();
 
-  const bool faulty = ctx.faulty;
-  auto lost = [&](NodeId u, NodeId dest) {
-    return ctx.down_bit(dest) || ctx.plan.drops_message(round, u, dest);
-  };
+  const auto rule = make_rule(g, budget_bits_, strict_, ctx, round);
 
-  // Phase A — runtime/shard.cpp's source pass verbatim: validate, account
-  // into the staging summary, count local survivors per local destination,
-  // serialize each cross-shard survivor into its (src, dst) batch. Remote
-  // traffic is counted BEFORE the drop check, exactly as in-process.
-  ShardRoundSummary sum;
+  // Phase A: the kernel's sender pass; cross-shard survivors are
+  // serialized into their (src, dst) batch.
+  deliver::RoundTally sum;
   std::vector<std::uint32_t> counts(owned, 0);
   std::vector<PayloadWriter> batches(K);
   std::vector<std::uint32_t> batch_counts(K, 0);
   try {
-    for (NodeId u = b; u < e; ++u) {
-      const auto& ob = out[u - b];
-      check_unique_destinations(ob, scratch_);
-      const bool sender_down = faulty && ctx.down_bit(u);
-      for (const auto& [dest, msg] : ob) {
-        if (!g.has_edge(u, dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;
-        const std::size_t bits = msg.bit_count();
-        ++sum.messages;
-        sum.total_bits += bits;
-        sum.max_message_bits = std::max<std::uint64_t>(
-            sum.max_message_bits, bits);
-        if (budget_bits_ != 0 && bits > budget_bits_) {
-          ++sum.congest_violations;
-          if (strict_) {
-            throw CongestViolation(
-                "message of " + std::to_string(bits) +
-                " bits exceeds CONGEST budget of " +
-                std::to_string(budget_bits_));
-          }
-        }
-        sum.round_max_bits = std::max<std::uint64_t>(sum.round_max_bits,
-                                                     bits);
-        const bool remote = dest < b || dest >= e;
-        if (remote) {
-          ++sum.traffic_messages;
-          sum.traffic_bits += bits;
-        }
-        if (faulty && lost(u, dest)) {
-          ++sum.dropped;
-          continue;
-        }
-        if (faulty && ctx.plan.corrupts_message(round, u, dest)) {
-          ++sum.corrupted;
-        }
-        if (!remote) {
-          ++counts[dest - b];
-        } else {
+    deliver::outbox_pass(
+        rule, out.data(), b, e, b, e, sum, scratch_,
+        [&](NodeId dest) { ++counts[dest - b]; },
+        [&](NodeId u, NodeId dest, const Message& msg) {
           const std::size_t j = shard_of(dest);
           batches[j].u32(u);
           batches[j].u32(dest);
           encode_message(batches[j], msg);
           ++batch_counts[j];
-        }
-      }
-    }
+        });
   } catch (const CongestViolation& ex) {
     send_error(round, kErrCongest, ex.what());
     return;
@@ -276,7 +225,7 @@ void ShardWorker::handle_outbox(const Frame& f) {
 
   // Barrier: K acks for our batches plus the K-1 batches destined here
   // (the coordinator relays them; our own diagonal is not echoed back).
-  std::vector<std::vector<BatchEntry>> incoming(K);
+  std::vector<std::vector<deliver::StagedMessage>> incoming(K);
   std::vector<char> have(K, 0);
   have[shard_] = 1;
   std::size_t acks = 0;
@@ -302,10 +251,10 @@ void ShardWorker::handle_outbox(const Frame& f) {
             throw FrameError("batch: wrong round, destination, or source");
           }
           PayloadReader br(nf->payload, "batch");
-          std::vector<BatchEntry>& in = incoming[src];
+          std::vector<deliver::StagedMessage>& in = incoming[src];
           in.reserve(nf->header.count);
           for (std::uint32_t i = 0; i < nf->header.count; ++i) {
-            BatchEntry be;
+            deliver::StagedMessage be;
             be.sender = br.u32();
             be.dest = br.u32();
             be.msg = decode_message(br);
@@ -337,13 +286,10 @@ void ShardWorker::handle_outbox(const Frame& f) {
     return;
   }
 
-  // Phase B — the destination pass: fold batch counts into the local
-  // counts, lay out the shard CSR, then fill walking source shards in
-  // ascending order with the own range inline at j == shard_. Corruption
-  // is applied here on the destination's own copy, re-resolving the pure
-  // PRF decision counted in phase A.
-  for (std::size_t j = 0; j < K; ++j) {
-    for (const BatchEntry& s : incoming[j]) ++counts[s.dest - b];
+  // Phase B: fold the batch counts into the local counts, lay out the
+  // shard CSR, then fill in source-shard order.
+  for (const auto& batch : incoming) {
+    for (const deliver::StagedMessage& s : batch) ++counts[s.dest - b];
   }
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
   std::uint32_t total = 0;
@@ -353,33 +299,11 @@ void ShardWorker::handle_outbox(const Frame& f) {
   }
   offsets[owned] = total;
   std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  std::vector<std::pair<NodeId, Message>> slots(total);
-  for (std::size_t j = 0; j < K; ++j) {
-    if (j == shard_) {
-      for (NodeId u = b; u < e; ++u) {
-        if (faulty && ctx.down_bit(u)) continue;
-        for (const auto& [dest, msg] : out[u - b]) {
-          if (dest < b || dest >= e) continue;
-          if (faulty && lost(u, dest)) continue;
-          auto& slot = slots[cursor[dest - b]++];
-          slot.first = u;
-          slot.second = msg;
-          if (faulty && ctx.plan.corrupts_message(round, u, dest)) {
-            ctx.plan.corrupt_payload(round, u, dest, slot.second);
-          }
-        }
-      }
-      continue;
-    }
-    for (const BatchEntry& s : incoming[j]) {
-      auto& slot = slots[cursor[s.dest - b]++];
-      slot.first = s.sender;
-      slot.second = s.msg;
-      if (faulty && ctx.plan.corrupts_message(round, s.sender, s.dest)) {
-        ctx.plan.corrupt_payload(round, s.sender, s.dest, slot.second);
-      }
-    }
-  }
+  std::vector<MailSlot> slots(total);
+  deliver::source_order_fill(
+      rule, out.data(), b, e, K, shard_,
+      [&](std::size_t j) -> const auto& { return incoming[j]; },
+      [&](NodeId dest) -> MailSlot& { return slots[cursor[dest - b]++]; });
 
   PayloadWriter w;
   encode_summary(w, sum);
@@ -403,38 +327,24 @@ void ShardWorker::handle_bcast(const Frame& f) {
   const FaultCtx ctx = decode_fault_ctx(r, g.n());
   const std::string_view transmits = r.bytes((g.n() + 7) / 8);
   r.expect_end();
-  const bool faulty = ctx.faulty;
+  const auto rule = make_rule(g, budget_bits_, strict_, ctx, round);
+  const auto sends = [transmits](NodeId u) { return bitmap_bit(transmits, u); };
 
-  // Receiver-driven survivor scan, mirroring broadcast_fill_sharded's
-  // masked/faulty path: count drops/corruptions per live edge, collect
-  // surviving sender ids per owned destination in adjacency order. The
-  // coordinator rebuilds the payload slots (it holds the messages), so
-  // only ids travel back.
+  // The kernel's receiver scan over the owned range. The coordinator
+  // rebuilds the payload slots (it holds the messages), so only the
+  // surviving sender ids travel back.
+  deliver::RoundTally t;
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::vector<NodeId> senders;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint32_t total = 0;
-  for (NodeId v = b; v < e; ++v) {
-    offsets[v - b] = total;
-    const bool receiver_down = faulty && ctx.down_bit(v);
-    for (NodeId u : g.neighbors(v)) {
-      if (!bitmap_bit(transmits, u)) continue;
-      if (faulty &&
-          (receiver_down || ctx.plan.drops_message(round, u, v))) {
-        ++dropped;
-        continue;
-      }
-      if (faulty && ctx.plan.corrupts_message(round, u, v)) ++corrupted;
-      senders.push_back(u);
-      ++total;
-    }
-  }
-  offsets[owned] = total;
+  std::vector<NodeId> senders(
+      deliver::survivor_offsets(rule, b, e, false, sends, t, offsets.data()));
+  NodeId* id = senders.data();
+  deliver::survivor_fill(rule, b, e, false, sends,
+                         [&](NodeId u, NodeId, bool) { *id++ = u; });
+  const std::uint32_t total = offsets[owned];
 
   PayloadWriter w;
-  w.u64(dropped);
-  w.u64(corrupted);
+  w.u64(t.dropped);
+  w.u64(t.corrupted);
   for (std::uint32_t off : offsets) w.u32(off);
   for (NodeId u : senders) w.u32(u);
   send_frame(FrameKind::kInboxIds, round, 0, total, w.take());
@@ -459,7 +369,8 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
     ghost_words[i] = r.u64();
   }
   r.expect_end();
-  const bool faulty = ctx.faulty;
+  const auto rule = make_rule(g, budget_bits_, strict_, ctx, round);
+  const auto sends = [transmits](NodeId u) { return bitmap_bit(transmits, u); };
 
   // A sender delivering to an owned destination is either owned or a
   // ghost; the halo words shipped above cover exactly the latter.
@@ -470,45 +381,25 @@ void ShardWorker::handle_word_sparse(const Frame& f) {
     return ghost_words[static_cast<std::size_t>(it - topo_.ghosts.begin())];
   };
 
-  // word_fill_sharded's sparse path: per-shard word CSR, corruption via
-  // the pure PRF, traffic counted per DELIVERED out-of-range slot.
+  // The kernel's receiver scan, as in word_fill_sharded's sparse path:
+  // cut traffic counted per delivered out-of-range slot.
+  deliver::RoundTally t;
   std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::vector<WordSlot> slots;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  std::uint64_t traffic_messages = 0;
-  std::uint64_t traffic_bits = 0;
-  std::uint32_t total = 0;
-  for (NodeId v = b; v < e; ++v) {
-    offsets[v - b] = total;
-    const bool receiver_down = faulty && ctx.down_bit(v);
-    for (NodeId u : g.neighbors(v)) {
-      if (!bitmap_bit(transmits, u)) continue;
-      if (faulty &&
-          (receiver_down || ctx.plan.drops_message(round, u, v))) {
-        ++dropped;
-        continue;
-      }
-      if (faulty && ctx.plan.corrupts_message(round, u, v)) ++corrupted;
-      WordSlot slot{u, word_of(u)};
-      if (u < b || u >= e) {
-        ++traffic_messages;
-        traffic_bits += bits;
-      }
-      if (faulty && ctx.plan.corrupts_message(round, u, v)) {
-        ctx.plan.corrupt_word(round, u, v, slot.value, bits);
-      }
-      slots.push_back(slot);
-      ++total;
-    }
-  }
-  offsets[owned] = total;
+  std::vector<WordSlot> slots(
+      deliver::survivor_offsets(rule, b, e, false, sends, t, offsets.data()));
+  WordSlot* slot = slots.data();
+  deliver::survivor_fill(rule, b, e, false, sends,
+                         [&](NodeId u, NodeId v, bool corrupt) {
+                           t.cut(u, b, e, bits);
+                           rule.put(*slot++, u, v, word_of(u), bits, corrupt);
+                         });
+  const std::uint32_t total = offsets[owned];
 
   PayloadWriter w;
-  w.u64(dropped);
-  w.u64(corrupted);
-  w.u64(traffic_messages);
-  w.u64(traffic_bits);
+  w.u64(t.dropped);
+  w.u64(t.corrupted);
+  w.u64(t.traffic_messages);
+  w.u64(t.traffic_bits);
   for (std::uint32_t off : offsets) w.u32(off);
   for (const WordSlot& s : slots) {
     w.u32(s.sender);

@@ -1,14 +1,15 @@
 // The `ldc_shard` worker process: one shard of the distributed engine.
 //
 // A worker owns one contiguous vertex range of the coordinator's
-// partition and is the delivery plane for it — the exact phase A / phase
-// B bodies of the in-process sharded engine (shard.cpp), with the
-// per-(src, dst) batch buffers serialized as kBatch frames instead of
-// staged in shared memory. The worker is deliberately stateless across
-// rounds: everything a round needs (outboxes, fault context, transmit
-// masks, word values) arrives in the round's frames, and every fault
-// decision it resolves is a pure function of (plan seed, round, edge) —
-// which is the whole determinism argument (DESIGN.md §12).
+// partition and is the delivery plane for it — the in-process sharded
+// engine's phase A / phase B over the same delivery kernel
+// (runtime/deliver.hpp), with the per-(src, dst) batch buffers serialized
+// as kBatch frames instead of staged in shared memory. The worker is
+// deliberately stateless across rounds: everything a round needs
+// (outboxes, fault context, transmit masks, word values) arrives in the
+// round's frames, and every fault decision it resolves is a pure function
+// of (plan seed, round, edge) — which is the whole determinism argument
+// (DESIGN.md §12).
 //
 // I/O is plain blocking reads/writes: the coordinator end is fully
 // non-blocking and always drains, so a worker can never wedge the
@@ -43,12 +44,6 @@ class ShardWorker {
   int run();
 
  private:
-  struct BatchEntry {
-    NodeId sender;
-    NodeId dest;
-    Message msg;
-  };
-
   void send_frame(FrameKind kind, std::uint64_t round, std::uint32_t dst,
                   std::uint32_t count, std::string_view payload);
   void send_error(std::uint64_t round, std::uint32_t code, const char* what);

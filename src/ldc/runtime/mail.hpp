@@ -107,6 +107,24 @@ class MailArena {
     return lanes_[i];
   }
 
+  /// Lays out offsets_ for destinations [0, count) from `lane`'s counts
+  /// of epoch `ep`, turns the lane entries into absolute write cursors, and
+  /// sizes slots_ to the total.
+  void lay_out(Lane& lane, NodeId count, std::uint64_t ep) {
+    if (offsets_.size() < static_cast<std::size_t>(count) + 1) {
+      offsets_.resize(static_cast<std::size_t>(count) + 1);
+    }
+    std::uint32_t total = 0;
+    for (NodeId v = 0; v < count; ++v) {
+      offsets_[v] = total;
+      const std::uint32_t c = lane.at(v, ep);
+      lane.set(v, ep, total);
+      total += c;
+    }
+    offsets_[count] = total;
+    if (slots_.size() != total) slots_.resize(total);
+  }
+
   std::vector<std::uint32_t> offsets_;  ///< n+1 per-destination slot offsets
   std::vector<MailSlot> slots_;         ///< flat (sender, message) slots
   std::vector<std::uint64_t> words_;    ///< fused dense mode: word per sender
@@ -115,7 +133,6 @@ class MailArena {
   std::uint64_t epoch_ = 0;
   std::vector<Lane> lanes_;             ///< lane 0: serial; else per chunk
   std::vector<char> transmits_;         ///< broadcast: sender is live
-  std::vector<std::size_t> sender_bits_;    ///< broadcast: payload size
   std::vector<NodeId> scratch_;             ///< duplicate-destination check
   std::vector<std::uint32_t> chunk_total_;  ///< parallel prefix partials
 };

@@ -2,38 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <limits>
 #include <string>
 
 #include "ldc/support/math.hpp"
 
 namespace ldc {
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// Enforces the "destinations unique per round" contract for one sender.
-/// Checked before any of the sender's messages are validated or delivered,
-/// in both engines, so the error order is engine-independent.
-void check_unique_destinations(const Network::Outbox& outbox,
-                               std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
-}
-
-}  // namespace
 
 void Network::set_engine(Engine engine, std::size_t threads) {
   if (engine == Engine::kDist) {
@@ -97,29 +71,6 @@ void Network::attach_dist(DistBackend* backend) {
   shards_.reset();
 }
 
-void Network::account(const Message& m) {
-  ++metrics_.messages;
-  metrics_.total_bits += m.bit_count();
-  metrics_.max_message_bits =
-      std::max(metrics_.max_message_bits, m.bit_count());
-  if (budget_bits_ != 0 && m.bit_count() > budget_bits_) {
-    ++metrics_.congest_violations;
-    if (strict_) {
-      throw CongestViolation("message of " + std::to_string(m.bit_count()) +
-                             " bits exceeds CONGEST budget of " +
-                             std::to_string(budget_bits_));
-    }
-  }
-}
-
-void Network::check_budget(const Message& m) const {
-  if (budget_bits_ != 0 && m.bit_count() > budget_bits_ && strict_) {
-    throw CongestViolation("message of " + std::to_string(m.bit_count()) +
-                           " bits exceeds CONGEST budget of " +
-                           std::to_string(budget_bits_));
-  }
-}
-
 void Network::prepare_round_faults(std::uint64_t round, RoundFaults& rf) {
   const auto n = graph_->n();
   if (crashed_.size() != n) {
@@ -146,220 +97,106 @@ void Network::prepare_round_faults(std::uint64_t round, RoundFaults& rf) {
 }
 
 void Network::exchange_serial(const std::vector<Outbox>& outboxes,
-                              std::uint64_t round, RoundFaults& rf,
-                              std::size_t& round_max_bits) {
+                              const deliver::ByteRule& rule,
+                              deliver::RoundTally& t) {
   const auto n = graph_->n();
-  const bool faulty = faults_ != nullptr && faults_->any();
   MailArena& a = arena_;
   const std::uint64_t ep = a.epoch_;
   auto& lane = a.lane(0, n);
-
-  // Pass 1 (by sender, ascending): validate, account, and count surviving
-  // messages per destination. Error and strict-CONGEST throw order is the
-  // serial sender/message order, exactly as when delivery was interleaved
-  // (on a throw the half-filled arena is never exposed: exchange() already
-  // bumped the epoch, so no live view reads it).
-  for (NodeId u = 0; u < n; ++u) {
-    check_unique_destinations(outboxes[u], a.scratch_);
-    const bool sender_down = faulty && down_[u] != 0;
-    for (const auto& [dest, msg] : outboxes[u]) {
-      if (!graph_->has_edge(u, dest)) {
-        throw std::invalid_argument(
-            "Network::exchange: message to non-neighbor");
-      }
-      if (sender_down) continue;  // suppressed: never transmitted
-      account(msg);
-      round_max_bits = std::max(round_max_bits, msg.bit_count());
-      if (faulty &&
-          (down_[dest] != 0 || faults_->drops_message(round, u, dest))) {
-        ++rf.dropped;
-        continue;
-      }
-      if (faulty && faults_->corrupts_message(round, u, dest)) {
-        ++rf.corrupted;
-      }
-      lane.add_one(dest, ep);
-    }
-  }
-
-  // Offsets from counts; the lane entries become absolute write cursors.
-  if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-  std::uint32_t total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    a.offsets_[v] = total;
-    const std::uint32_t c = lane.at(v, ep);
-    lane.set(v, ep, total);
-    total += c;
-  }
-  a.offsets_[n] = total;
-  if (a.slots_.size() != total) a.slots_.resize(total);
-
-  // Pass 2 (by sender, ascending): write each surviving message at its
-  // destination's cursor. Fault decisions are pure in (seed, round, edge),
-  // so re-resolving them here reproduces pass 1 exactly. Ascending senders
-  // into per-destination cursors yield ascending sender order per inbox.
-  for (NodeId u = 0; u < n; ++u) {
-    if (faulty && down_[u] != 0) continue;
-    for (const auto& [dest, msg] : outboxes[u]) {
-      if (faulty &&
-          (down_[dest] != 0 || faults_->drops_message(round, u, dest))) {
-        continue;
-      }
-      MailSlot& slot = a.slots_[lane.counts[dest]++];
-      slot.first = u;
-      slot.second = msg;  // shares the payload: no copy of the words
-      if (faulty && faults_->corrupts_message(round, u, dest)) {
-        // flip_bit clones the shared payload (CoW), so the corruption
-        // cannot alias the sender's handle or sibling deliveries.
-        faults_->corrupt_payload(round, u, dest, slot.second);
-      }
-    }
-  }
+  // Pass 1 counts survivors per destination; pass 2 writes them at their
+  // destination's cursor, ascending senders giving ascending inboxes. On
+  // a throw the half-filled arena is never exposed: the prologue already
+  // bumped the epoch, so no live view reads it.
+  deliver::outbox_pass(
+      rule, outboxes.data(), 0, n, 0, n, t, a.scratch_,
+      [&](NodeId dest) { lane.add_one(dest, ep); },
+      [](NodeId, NodeId, const Message&) {});
+  a.lay_out(lane, n, ep);
+  deliver::own_fill(rule, outboxes.data(), 0, n, 0, n,
+                    [&](NodeId dest) -> MailSlot& {
+                      return a.slots_[lane.counts[dest]++];
+                    });
 }
 
 void Network::exchange_parallel(const std::vector<Outbox>& outboxes,
-                                std::uint64_t round, RoundFaults& rf,
-                                std::size_t& round_max_bits) {
+                                const deliver::ByteRule& rule,
+                                deliver::RoundTally& t) {
   const auto n = graph_->n();
-  const bool faulty = faults_ != nullptr && faults_->any();
   MailArena& a = arena_;
   const std::uint64_t ep = a.epoch_;
-  // Per-shard staging: metrics plus a per-destination count lane. Shards
-  // are contiguous ascending sender ranges, so concatenating them in shard
-  // order reproduces the serial sender order exactly. Lanes persist in the
-  // arena and are epoch-stamped: entries from earlier rounds read as zero,
-  // so no O(n·lanes) clearing happens per round. Fault decisions are pure
-  // in (seed, round, edge), so the counting pass and the write pass
-  // resolve them identically without sharing state.
-  struct Shard {
-    RunMetrics metrics;
-    std::size_t round_max_bits = 0;
-    std::uint64_t dropped = 0;
-    std::uint64_t corrupted = 0;
-  };
+  // Per-chunk tallies and per-destination count lanes. Chunks are
+  // contiguous ascending sender ranges, so concatenating them in chunk
+  // order reproduces the serial sender order exactly. Lanes persist in
+  // the arena and are epoch-stamped: entries from earlier rounds read as
+  // zero, so no O(n·lanes) clearing happens per round.
   const std::size_t lanes = std::min<std::size_t>(pool_->size(), n);
-  std::vector<Shard> shards(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) a.lane(t, n);
+  std::vector<deliver::RoundTally> tallies(lanes);
+  for (std::size_t c = 0; c < lanes; ++c) a.lane(c, n);
 
-  // Drop decision shared by the counting and write passes (down receiver
-  // first so the plan's drop stream is only consulted for live edges,
-  // exactly as in the serial engine).
-  auto lost = [&](NodeId u, NodeId dest) {
-    return down_[dest] != 0 || faults_->drops_message(round, u, dest);
-  };
-
-  // Pass 1 (by sender): validate, account into the shard, count per dest.
-  // Exception order matches serial: parallel_for rethrows the lowest chunk
-  // = lowest sender, per-sender checks run in serial order within a chunk,
-  // and the exception texts are position-independent.
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    Shard& sh = shards[t];
-    MailArena::Lane& lane = a.lanes_[t];
+  // Pass 1 (by sender): the kernel's sender pass per chunk. Exception
+  // order matches serial: parallel_for rethrows the lowest chunk = lowest
+  // sender, and the exception texts are position-independent.
+  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
+    MailArena::Lane& lane = a.lanes_[c];
     std::vector<NodeId> scratch;
-    for (std::size_t u = b; u < e; ++u) {
-      check_unique_destinations(outboxes[u], scratch);
-      const bool sender_down = faulty && down_[u] != 0;
-      for (const auto& [dest, msg] : outboxes[u]) {
-        if (!graph_->has_edge(static_cast<NodeId>(u), dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;
-        ++sh.metrics.messages;
-        sh.metrics.total_bits += msg.bit_count();
-        sh.metrics.max_message_bits =
-            std::max(sh.metrics.max_message_bits, msg.bit_count());
-        if (budget_bits_ != 0 && msg.bit_count() > budget_bits_) {
-          ++sh.metrics.congest_violations;
-          check_budget(msg);
-        }
-        sh.round_max_bits = std::max(sh.round_max_bits, msg.bit_count());
-        if (faulty && lost(static_cast<NodeId>(u), dest)) {
-          ++sh.dropped;
-          continue;
-        }
-        if (faulty &&
-            faults_->corrupts_message(round, static_cast<NodeId>(u), dest)) {
-          ++sh.corrupted;
-        }
-        lane.add_one(dest, ep);
-      }
-    }
+    deliver::outbox_pass(
+        rule, outboxes.data() + b, static_cast<NodeId>(b),
+        static_cast<NodeId>(e), 0, n, tallies[c], scratch,
+        [&](NodeId dest) { lane.add_one(dest, ep); },
+        [](NodeId, NodeId, const Message&) {});
   });
 
   // Pass 2 (by destination): global CSR offsets from the per-lane counts.
   // 2a computes per-chunk slot totals, a serial scan over the (few) chunks
   // assigns chunk base offsets, then 2b lays out each destination's span
-  // and turns the lane entries into absolute write cursors, shard by shard
-  // — so shard order within an inbox equals ascending sender order.
+  // and turns the lane entries into absolute write cursors, lane by lane
+  // — so lane order within an inbox equals ascending sender order.
   if (a.chunk_total_.size() < lanes) a.chunk_total_.resize(lanes);
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
+  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
     std::uint32_t sum = 0;
     for (std::size_t dest = b; dest < e; ++dest) {
       for (std::size_t l = 0; l < lanes; ++l) {
         sum += a.lanes_[l].at(static_cast<NodeId>(dest), ep);
       }
     }
-    a.chunk_total_[t] = sum;
+    a.chunk_total_[c] = sum;
   });
   // parallel_for(n, ...) splits [0, n) the same way on every call with the
-  // same pool, so chunk t in 2b covers exactly the range summed in 2a.
-  const std::size_t chunks = std::min<std::size_t>(pool_->size(), n);
+  // same pool, so chunk c in 2b covers exactly the range summed in 2a.
   std::uint32_t total = 0;
-  for (std::size_t t = 0; t < chunks; ++t) {
-    const std::uint32_t c = a.chunk_total_[t];
-    a.chunk_total_[t] = total;
-    total += c;
+  for (std::size_t c = 0; c < lanes; ++c) {
+    const std::uint32_t sum = a.chunk_total_[c];
+    a.chunk_total_[c] = total;
+    total += sum;
   }
   if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
   a.offsets_[n] = total;
   if (a.slots_.size() != total) a.slots_.resize(total);
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    std::uint32_t cur = a.chunk_total_[t];
+  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
+    std::uint32_t cur = a.chunk_total_[c];
     for (std::size_t dest = b; dest < e; ++dest) {
       a.offsets_[dest] = cur;
       for (std::size_t l = 0; l < lanes; ++l) {
         MailArena::Lane& lane = a.lanes_[l];
-        const std::uint32_t c = lane.at(static_cast<NodeId>(dest), ep);
+        const std::uint32_t count = lane.at(static_cast<NodeId>(dest), ep);
         lane.set(static_cast<NodeId>(dest), ep, cur);
-        cur += c;
+        cur += count;
       }
     }
   });
 
-  // Pass 3 (by sender, same sharding): write messages at the shard's
-  // cursor — disjoint slots, and slot order equals serial insert order.
-  // Re-resolves the (pure) fault decisions of pass 1.
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t t) {
-    MailArena::Lane& lane = a.lanes_[t];
-    for (std::size_t u = b; u < e; ++u) {
-      if (faulty && down_[u] != 0) continue;
-      for (const auto& [dest, msg] : outboxes[u]) {
-        if (faulty && lost(static_cast<NodeId>(u), dest)) continue;
-        MailSlot& slot = a.slots_[lane.counts[dest]++];
-        slot.first = static_cast<NodeId>(u);
-        slot.second = msg;
-        if (faulty &&
-            faults_->corrupts_message(round, static_cast<NodeId>(u), dest)) {
-          faults_->corrupt_payload(round, static_cast<NodeId>(u), dest,
-                                   slot.second);
-        }
-      }
-    }
+  // Pass 3 (by sender, same chunking): write survivors at the chunk's
+  // cursors — disjoint slots, and slot order equals serial insert order.
+  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
+    MailArena::Lane& lane = a.lanes_[c];
+    deliver::own_fill(rule, outboxes.data() + b, static_cast<NodeId>(b),
+                      static_cast<NodeId>(e), 0, n,
+                      [&](NodeId dest) -> MailSlot& {
+                        return a.slots_[lane.counts[dest]++];
+                      });
   });
 
-  // Deterministic merge: all folds are sums / maxes, so the totals equal
-  // the serial accounting regardless of shard boundaries.
-  for (const Shard& sh : shards) {
-    metrics_.messages += sh.metrics.messages;
-    metrics_.total_bits += sh.metrics.total_bits;
-    metrics_.max_message_bits =
-        std::max(metrics_.max_message_bits, sh.metrics.max_message_bits);
-    metrics_.congest_violations += sh.metrics.congest_violations;
-    round_max_bits = std::max(round_max_bits, sh.round_max_bits);
-    rf.dropped += sh.dropped;
-    rf.corrupted += sh.corrupted;
-  }
+  for (const deliver::RoundTally& chunk : tallies) t.merge(chunk);
 }
 
 void Network::debug_check_sorted() const {
@@ -392,28 +229,31 @@ void Network::debug_check_sorted() const {
 #endif
 }
 
-void Network::finish_round(std::uint64_t msgs_before,
-                           std::uint64_t bits_before,
-                           std::size_t round_max_bits, std::uint64_t t0,
-                           const RoundFaults& rf) {
-  metrics_.messages_dropped += rf.dropped;
-  metrics_.messages_corrupted += rf.corrupted;
-  const std::uint64_t wall_ns = (now_ns() - t0) + pending_compute_ns_;
+void Network::finish_round(deliver::RoundOpen& r) {
+  const deliver::RoundTally& t = r.tally;
+  metrics_.messages += t.messages;
+  metrics_.total_bits += t.total_bits;
+  metrics_.max_message_bits = std::max<std::size_t>(
+      metrics_.max_message_bits, static_cast<std::size_t>(t.max_message_bits));
+  metrics_.congest_violations += t.congest_violations;
+  metrics_.messages_dropped += t.dropped;
+  metrics_.messages_corrupted += t.corrupted;
+  r.faults.dropped = t.dropped;
+  r.faults.corrupted = t.corrupted;
+  const std::uint64_t wall_ns =
+      (deliver::now_ns() - r.t0) + pending_compute_ns_;
   pending_compute_ns_ = 0;
   metrics_.wall_ns += wall_ns;
   if (trace_ != nullptr) {
-    trace_->record_round(metrics_.messages - msgs_before,
-                         metrics_.total_bits - bits_before, round_max_bits,
-                         wall_ns, rf);
+    trace_->record_round(t.messages, t.total_bits,
+                         static_cast<std::size_t>(t.round_max_bits), wall_ns,
+                         r.faults);
   }
 }
 
-RoundMail Network::seal_round(std::uint64_t msgs_before,
-                              std::uint64_t bits_before,
-                              std::size_t round_max_bits, std::uint64_t t0,
-                              const RoundFaults& rf) {
+RoundMail Network::seal_round(deliver::RoundOpen& r) {
   debug_check_sorted();
-  finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
+  finish_round(r);
   if (shards_ != nullptr) {
     return RoundMail(&arena_, &shards_->map_, graph_->n());
   }
@@ -421,154 +261,44 @@ RoundMail Network::seal_round(std::uint64_t msgs_before,
 }
 
 RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
-  const auto n = graph_->n();
-  if (outboxes.size() != n) {
+  if (outboxes.size() != graph_->n()) {
     throw std::invalid_argument("Network::exchange: outbox count != n");
   }
-  // Round-boundary hook (cancellation checks live here): runs before the
-  // round is accounted, so a throwing callback leaves metrics untouched.
-  if (round_cb_) round_cb_(metrics_.rounds);
-  // Invalidate prior views before touching the arena, so even a throwing
-  // round can never expose half-rewritten slots through a stale RoundMail.
-  ++arena_.epoch_;
-  // The round index keying the fault schedule: silent rounds shift it, so a
-  // plan addresses "the k-th round of the run", not "the k-th exchange".
-  const std::uint64_t round = metrics_.rounds;
-  ++metrics_.rounds;
-  RoundFaults rf;
-  if (faults_ != nullptr && faults_->any()) prepare_round_faults(round, rf);
-  const std::uint64_t msgs_before = metrics_.messages;
-  const std::uint64_t bits_before = metrics_.total_bits;
-  std::size_t round_max_bits = 0;
-  const std::uint64_t t0 = now_ns();
+  deliver::RoundOpen r = begin_round();
+  const deliver::ByteRule rl = rule(r.index);
   if (dist_ != nullptr) {
-    dist_->exchange_dist(*this, outboxes, round, rf, round_max_bits);
+    dist_->exchange_dist(*this, outboxes, rl, r.tally);
   } else if (shards_ != nullptr) {
-    exchange_sharded(outboxes, round, rf, round_max_bits);
+    exchange_sharded(outboxes, rl, r.tally);
   } else if (pool_ != nullptr && pool_->size() > 1) {
-    exchange_parallel(outboxes, round, rf, round_max_bits);
+    exchange_parallel(outboxes, rl, r.tally);
   } else {
-    exchange_serial(outboxes, round, rf, round_max_bits);
+    exchange_serial(outboxes, rl, r.tally);
   }
-  return seal_round(msgs_before, bits_before, round_max_bits, t0, rf);
+  return seal_round(r);
 }
 
 void Network::broadcast_fill(const std::vector<Message>& msgs,
-                             const std::vector<bool>* active,
-                             std::uint64_t round, RoundFaults& rf,
-                             std::size_t& round_max_bits) {
+                             const deliver::ByteRule& rule, bool all_live,
+                             deliver::RoundTally& t) {
   const auto n = graph_->n();
-  const bool faulty = faults_ != nullptr && faults_->any();
   MailArena& a = arena_;
-  // The pure fast path — nobody masked, nobody down — needs no per-edge
-  // transmit test and no counting scan: every inbox is exactly the
-  // sender-sorted neighbor list, so the offsets are the graph's CSR.
-  const bool all_live = active == nullptr && !faulty;
-  if (!all_live) {
-    a.transmits_.assign(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      const bool sends = (active == nullptr || (*active)[u]) &&
-                         !(faulty && down_[u] != 0);
-      a.transmits_[u] = sends ? 1 : 0;
-    }
-  }
-
-  // Sender-side accounting, in ascending sender order — bulk per sender
-  // (degree many identical messages) instead of per message, with the
-  // strict-CONGEST throw surfacing at the same sender and with the same
-  // partial metric updates as the per-message account() loop it replaces.
-  for (NodeId u = 0; u < n; ++u) {
-    if (!all_live && a.transmits_[u] == 0) continue;
-    const std::size_t deg = graph_->degree(u);
-    if (deg == 0) continue;
-    const std::size_t bits = msgs[u].bit_count();
-    if (budget_bits_ != 0 && bits > budget_bits_) {
-      if (strict_) {
-        // account() for the sender's first message: counts it, then throws.
-        ++metrics_.messages;
-        metrics_.total_bits += bits;
-        metrics_.max_message_bits =
-            std::max(metrics_.max_message_bits, bits);
-        ++metrics_.congest_violations;
-        throw CongestViolation("message of " + std::to_string(bits) +
-                               " bits exceeds CONGEST budget of " +
-                               std::to_string(budget_bits_));
-      }
-      metrics_.congest_violations += deg;
-    }
-    metrics_.messages += deg;
-    metrics_.total_bits += static_cast<std::uint64_t>(deg) * bits;
-    metrics_.max_message_bits = std::max(metrics_.max_message_bits, bits);
-    round_max_bits = std::max(round_max_bits, bits);
-  }
-
-  // Sharded engine: sender-side accounting above ran on the coordinator
-  // (identical to serial); the per-shard receiver-driven fill takes over.
-  if (dist_ != nullptr) {
-    dist_->broadcast_fill_dist(*this, msgs, active, round, rf, all_live);
-    return;
-  }
-  if (shards_ != nullptr) {
-    broadcast_fill_sharded(msgs, active, round, rf, all_live);
-    return;
-  }
-
-  // Receiver-side offsets. In the masked/faulty case this is also where
-  // the per-edge drop and corruption events are counted (each live edge is
-  // visited exactly once; the fill pass re-resolves the pure decisions).
+  const deliver::ByteFlags sends{a.transmits_.data()};
   if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-  std::uint32_t total = 0;
-  for (NodeId v = 0; v < n; ++v) {
-    a.offsets_[v] = total;
-    if (all_live) {
-      total += static_cast<std::uint32_t>(graph_->degree(v));
-      continue;
-    }
-    const bool receiver_down = faulty && down_[v] != 0;
-    for (NodeId u : graph_->neighbors(v)) {
-      if (a.transmits_[u] == 0) continue;
-      if (faulty &&
-          (receiver_down || faults_->drops_message(round, u, v))) {
-        ++rf.dropped;
-        continue;
-      }
-      if (faulty && faults_->corrupts_message(round, u, v)) {
-        ++rf.corrupted;
-      }
-      ++total;
-    }
-  }
-  a.offsets_[n] = total;
+  const std::uint32_t total = deliver::survivor_offsets(
+      rule, 0, n, all_live, sends, t, a.offsets_.data());
   if (a.slots_.size() != total) a.slots_.resize(total);
 
-  // Fill (by destination): v's inbox is one shared handle per live
-  // in-neighbor, in adjacency order — the graph stores sorted adjacency,
-  // so ascending sender order holds with no sort. Parallelizing by
-  // destination is race-free: spans are disjoint and all reads are const.
+  // Fill (by destination): v's inbox is one shared handle per surviving
+  // in-neighbor. Parallelizing by destination is race-free: spans are
+  // disjoint and all reads are const.
   auto fill = [&](std::size_t b, std::size_t e, std::size_t) {
-    for (std::size_t v = b; v < e; ++v) {
-      std::uint32_t cur = a.offsets_[v];
-      const bool receiver_down =
-          !all_live && faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(static_cast<NodeId>(v))) {
-        if (!all_live) {
-          if (a.transmits_[u] == 0) continue;
-          if (faulty && (receiver_down ||
-                         faults_->drops_message(round, u,
-                                                static_cast<NodeId>(v)))) {
-            continue;
-          }
-        }
-        MailSlot& slot = a.slots_[cur++];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (!all_live && faulty &&
-            faults_->corrupts_message(round, u, static_cast<NodeId>(v))) {
-          faults_->corrupt_payload(round, u, static_cast<NodeId>(v),
-                                   slot.second);
-        }
-      }
-    }
+    MailSlot* slot = a.slots_.data() + a.offsets_[b];
+    deliver::survivor_fill(rule, static_cast<NodeId>(b),
+                           static_cast<NodeId>(e), all_live, sends,
+                           [&](NodeId u, NodeId v, bool corrupt) {
+                             rule.put(*slot++, u, v, msgs[u], corrupt);
+                           });
   };
   if (pool_ != nullptr && pool_->size() > 1) {
     pool_->parallel_for(n, fill);
@@ -589,18 +319,19 @@ RoundMail Network::exchange_broadcast(const std::vector<Message>& msgs,
     throw std::invalid_argument(
         "Network::exchange_broadcast: active mask size != n");
   }
-  if (round_cb_) round_cb_(metrics_.rounds);
-  ++arena_.epoch_;
-  const std::uint64_t round = metrics_.rounds;
-  ++metrics_.rounds;
-  RoundFaults rf;
-  if (faults_ != nullptr && faults_->any()) prepare_round_faults(round, rf);
-  const std::uint64_t msgs_before = metrics_.messages;
-  const std::uint64_t bits_before = metrics_.total_bits;
-  std::size_t round_max_bits = 0;
-  const std::uint64_t t0 = now_ns();
-  broadcast_fill(msgs, active, round, rf, round_max_bits);
-  return seal_round(msgs_before, bits_before, round_max_bits, t0, rf);
+  deliver::RoundOpen r = begin_round();
+  const deliver::ByteRule rl = rule(r.index);
+  const bool all_live = deliver::broadcast_senders(
+      rl, active, arena_.transmits_,
+      [&](NodeId u) { return msgs[u].bit_count(); }, r.tally);
+  if (dist_ != nullptr) {
+    dist_->broadcast_fill_dist(*this, msgs, rl, all_live, r.tally);
+  } else if (shards_ != nullptr) {
+    broadcast_fill_sharded(msgs, rl, all_live, r.tally);
+  } else {
+    broadcast_fill(msgs, rl, all_live, r.tally);
+  }
+  return seal_round(r);
 }
 
 WordMail Network::exchange_broadcast_word(
@@ -620,130 +351,62 @@ WordMail Network::exchange_broadcast_word(
         "Network::exchange_broadcast_word: bound must be < 2^64-1 (the "
         "equivalent write_bounded width is ceil_log2(bound+1))");
   }
-  if (round_cb_) round_cb_(metrics_.rounds);
-  ++arena_.epoch_;
-  const std::uint64_t round = metrics_.rounds;
-  ++metrics_.rounds;
-  RoundFaults rf;
-  const bool faulty = faults_ != nullptr && faults_->any();
-  if (faulty) prepare_round_faults(round, rf);
-  const std::uint64_t msgs_before = metrics_.messages;
-  const std::uint64_t bits_before = metrics_.total_bits;
-  std::size_t round_max_bits = 0;
-  const std::uint64_t t0 = now_ns();
-
+  deliver::RoundOpen r = begin_round();
+  const deliver::ByteRule rl = rule(r.index);
   // Payload width of the round: every live sender transmits exactly the
-  // bits write_bounded(word, bound) would pack.
+  // bits write_bounded(word, bound) would pack, so metrics, trace rows,
+  // and the strict-CONGEST throw point match the Message path.
   const std::size_t bits = static_cast<std::size_t>(ceil_log2(bound + 1));
-  MailArena& a = arena_;
-  const bool all_live = active == nullptr && !faulty;
-  if (!all_live) {
-    a.transmits_.assign(n, 0);
-    for (NodeId u = 0; u < n; ++u) {
-      const bool sends = (active == nullptr || (*active)[u]) &&
-                         !(faulty && down_[u] != 0);
-      a.transmits_[u] = sends ? 1 : 0;
-    }
-  }
-
-  // Sender-side accounting: the same bulk walk as broadcast_fill, with
-  // every live sender's payload exactly `bits` wide — so metrics, trace
-  // rows, and the strict-CONGEST throw point match the Message path.
-  for (NodeId u = 0; u < n; ++u) {
-    if (!all_live && a.transmits_[u] == 0) continue;
-    const std::size_t deg = graph_->degree(u);
-    if (deg == 0) continue;
-    assert(words[u] <= bound &&
-           "exchange_broadcast_word: live sender's word exceeds bound");
-    if (budget_bits_ != 0 && bits > budget_bits_) {
-      if (strict_) {
-        ++metrics_.messages;
-        metrics_.total_bits += bits;
-        metrics_.max_message_bits =
-            std::max(metrics_.max_message_bits, bits);
-        ++metrics_.congest_violations;
-        throw CongestViolation("message of " + std::to_string(bits) +
-                               " bits exceeds CONGEST budget of " +
-                               std::to_string(budget_bits_));
-      }
-      metrics_.congest_violations += deg;
-    }
-    metrics_.messages += deg;
-    metrics_.total_bits += static_cast<std::uint64_t>(deg) * bits;
-    metrics_.max_message_bits = std::max(metrics_.max_message_bits, bits);
-    round_max_bits = std::max(round_max_bits, bits);
-  }
+  const bool all_live = deliver::broadcast_senders(
+      rl, active, arena_.transmits_,
+      [&]([[maybe_unused]] NodeId u) {
+        assert(words[u] <= bound &&
+               "exchange_broadcast_word: live sender's word exceeds bound");
+        return bits;
+      },
+      r.tally);
 
   if (dist_ != nullptr) {
     // Workers validate and count their halo traffic; the master arena is
     // filled in the serial layout, so the serial-mode view below applies.
-    dist_->word_fill_dist(*this, words, bits, round, rf, all_live);
-    finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
+    dist_->word_fill_dist(*this, words, bits, rl, all_live, r.tally);
+    finish_round(r);
     return WordMail(&arena_, graph_, all_live, n);
   }
   if (shards_ != nullptr) {
     // Per-shard fill: dense rounds snapshot owned + halo words into the
     // shard's arena; masked/faulty rounds build per-shard word CSRs.
-    word_fill_sharded(words, bits, round, rf, all_live);
-    finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
+    word_fill_sharded(words, bits, rl, all_live, r.tally);
+    finish_round(r);
     return WordMail(&arena_, &shards_->map_, all_live, n);
   }
 
+  MailArena& a = arena_;
   if (all_live) {
     // Dense mode: one word per sender; lanes are synthesized from the
     // graph CSR at read time. O(n) work for an O(m) logical round.
     if (a.words_.size() < n) a.words_.resize(n);
     std::copy(words.begin(), words.end(), a.words_.begin());
   } else {
-    // Sparse mode: CSR of (sender, word) slots, mirroring broadcast_fill's
-    // masked/faulty path — drop and corruption events are counted in the
-    // offset pass and re-resolved (pure decisions) in the fill pass.
+    // Sparse mode: a CSR of (sender, word) slots.
+    const deliver::ByteFlags sends{a.transmits_.data()};
     if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-    std::uint32_t total = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      a.offsets_[v] = total;
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (a.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          ++rf.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          ++rf.corrupted;
-        }
-        ++total;
-      }
-    }
-    a.offsets_[n] = total;
+    const std::uint32_t total = deliver::survivor_offsets(
+        rl, 0, n, false, sends, r.tally, a.offsets_.data());
     if (a.word_slots_.size() != total) a.word_slots_.resize(total);
-    for (NodeId v = 0; v < n; ++v) {
-      std::uint32_t cur = a.offsets_[v];
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (a.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          continue;
-        }
-        WordSlot& slot = a.word_slots_[cur++];
-        slot.sender = u;
-        slot.value = words[u];
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          faults_->corrupt_word(round, u, v, slot.value, bits);
-        }
-      }
-    }
+    WordSlot* slot = a.word_slots_.data();
+    deliver::survivor_fill(rl, 0, n, false, sends,
+                           [&](NodeId u, NodeId v, bool corrupt) {
+                             rl.put(*slot++, u, v, words[u], bits, corrupt);
+                           });
   }
-
-  finish_round(msgs_before, bits_before, round_max_bits, t0, rf);
+  finish_round(r);
   return WordMail(&arena_, graph_, all_live, n);
 }
 
 void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
   const auto n = graph_->n();
-  const std::uint64_t t0 = now_ns();
+  const std::uint64_t t0 = deliver::now_ns();
   if (shards_ != nullptr) {
     // Each shard's worker runs its own range — node state written by fn
     // stays on the pages that worker first-touched. Lowest-shard
@@ -753,7 +416,7 @@ void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
       const ShardState& st = *S.states_[k];
       for (NodeId v = st.topo.vbegin; v < st.topo.vend; ++v) fn(v);
     });
-    pending_compute_ns_ += now_ns() - t0;
+    pending_compute_ns_ += deliver::now_ns() - t0;
     return;
   }
   if (pool_ != nullptr && pool_->size() > 1) {
@@ -766,7 +429,7 @@ void Network::run_node_programs(const std::function<void(NodeId)>& fn) {
   } else {
     for (NodeId v = 0; v < n; ++v) fn(v);
   }
-  pending_compute_ns_ += now_ns() - t0;
+  pending_compute_ns_ += deliver::now_ns() - t0;
 }
 
 }  // namespace ldc

@@ -11,39 +11,41 @@
 // as a violation (and optionally throws in strict mode). Budget 0 means the
 // LOCAL model (unbounded messages).
 //
-// Execution engines. The simulator has three engines producing
+// Execution engines. The simulator has four engines producing
 // byte-identical results (colors, metrics, trace digests) — the
-// cross-engine equivalence suites in tests/test_parallel_equivalence.cpp
-// and tests/test_sharded.cpp lock this down:
+// cross-engine equivalence suites in tests/test_parallel_equivalence.cpp,
+// tests/test_sharded.cpp and tests/test_dist.cpp lock this down. What
+// happens to one message on one edge (validation, CONGEST accounting,
+// drop/corrupt/deliver) is decided in exactly one place, the delivery
+// kernel in deliver.hpp; the engines only split the vertex set into
+// ranges, run the kernel over each, and merge the per-range tallies in
+// ascending range order (sums and maxes, so boundaries never show):
 //
-//  * kSerial (default): one thread walks all senders in node order.
-//  * kParallel: senders are chunked across a ThreadPool in contiguous
-//    node-order ranges; each chunk validates and accounts its messages into
-//    per-chunk staging (counts + RunMetrics), and the chunks are merged in
-//    chunk order. Because chunks are contiguous and ascending, the merged
-//    inbox order equals the serial sender order exactly, so determinism is
-//    independent of thread count and schedule. Per-node compute runs
-//    through run_node_programs(), which fans node callbacks out over the
-//    same pool (callbacks must only write state owned by their node).
+//  * kSerial (default, and the reference): one range, [0, n).
+//  * kParallel: contiguous ascending sender chunks on a ThreadPool, each
+//    counting into its own epoch-stamped lane of one shared arena. Chunks
+//    are written in chunk order, so every inbox is in ascending sender
+//    order, independent of thread count and schedule. Per-node compute
+//    runs through run_node_programs(), which fans node callbacks out over
+//    the same pool (callbacks must only write state owned by their node).
 //  * kSharded: the graph is partitioned into K contiguous vertex ranges;
 //    each shard owns its range plus a read-only ghost halo, holds its own
 //    MailArena, and runs on its own dedicated worker (fixed worker↔shard
 //    binding, first-touch NUMA placement, optional LDC_PIN=1 core
-//    pinning). Cross-shard messages are staged in per-(src, dst) batch
-//    buffers and flushed once per round at the barrier; destination
-//    shards fill inboxes walking source shards in ascending order, which
-//    reproduces the serial sender order exactly (see DESIGN.md §11 and
-//    shard.hpp). Cross-shard traffic is observable via
-//    cross_shard_traffic(); it is deliberately NOT part of RunMetrics, so
-//    metrics and digests stay engine-independent.
-//  * kDist: the sharded engine's protocol taken across process
-//    boundaries — each shard lives in its own worker process (`ldc_shard`)
-//    and the per-(src, dst) batch buffers travel as length-prefixed,
-//    digest-sealed frames over sockets. The coordinator side is a
-//    DistBackend (src/ldc/dist/coordinator.hpp) attached via
-//    attach_dist(); the determinism contract is identical (DESIGN.md
-//    §12), and cross_shard_traffic() reports the same logical counters
-//    the in-process sharded engine would.
+//    pinning). Cross-shard survivors are staged in per-(src, dst) batches
+//    and folded in at the barrier, walking source shards in ascending
+//    order — the serial sender order (DESIGN.md §11, shard.hpp).
+//    Cross-shard traffic is observable via cross_shard_traffic(); it is
+//    deliberately NOT part of RunMetrics, so metrics and digests stay
+//    engine-independent.
+//  * kDist: the sharded protocol across process boundaries — each shard
+//    lives in its own worker process (`ldc_shard`) running the same
+//    kernel, and the batches travel as length-prefixed, digest-sealed
+//    frames over sockets. The coordinator side is a DistBackend
+//    (src/ldc/dist/coordinator.hpp) attached via attach_dist(); the
+//    determinism contract is identical (DESIGN.md §12), and
+//    cross_shard_traffic() reports the same logical counters the
+//    in-process sharded engine would.
 //
 // Thread count: an explicit set_engine() parameter, else the LDC_THREADS
 // environment variable (or LDC_SHARDS for kSharded, strictly parsed), else
@@ -60,11 +62,11 @@
 // events are counted in RunMetrics and recorded per round in the attached
 // Trace. See fault.hpp for the model and accounting rules.
 //
-// Error fidelity: both engines throw the same exception for the first
+// Error fidelity: every engine throws the same exception for the first
 // offending sender in node order — duplicate destinations are rejected
 // before any of that sender's messages are validated, then non-neighbor
-// delivery and strict CONGEST violations surface in message order; metric
-// values after a throw are unspecified under kParallel.
+// delivery and strict CONGEST violations surface in message order. A
+// throwing round counts as a round but accounts none of its traffic.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +77,7 @@
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
+#include "ldc/runtime/deliver.hpp"
 #include "ldc/runtime/fault.hpp"
 #include "ldc/runtime/mail.hpp"
 #include "ldc/runtime/message.hpp"
@@ -85,17 +88,12 @@
 
 namespace ldc {
 
-class CongestViolation : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
-
 class DistBackend;
 
 class Network {
  public:
   /// One outgoing message: destination must be a neighbor of the sender.
-  using Outbox = std::vector<MailSlot>;
+  using Outbox = deliver::Outbox;
   /// An owning inbox (what RoundMail::materialize() yields per node);
   /// deliveries themselves are returned as arena-backed RoundMail views.
   using Inbox = std::vector<MailSlot>;
@@ -307,49 +305,54 @@ class Network {
   std::uint32_t crashed_total_ = 0;
   MailArena arena_;  ///< round-reused delivery storage behind RoundMail
 
-  void account(const Message& m);
-  /// Validates m against the CONGEST budget without touching metrics;
-  /// throws under strict mode (the parallel engine accounts per shard).
-  void check_budget(const Message& m) const;
-
   /// Evaluates the plan's node schedules for `round` (single-threaded, so
   /// crash-cap resolution is engine-independent): updates crashed_/down_,
   /// counts crash/sleep events into metrics_ and `rf`.
   void prepare_round_faults(std::uint64_t round, RoundFaults& rf);
 
-  /// Engine bodies: fill arena_ (offsets + slots) for this round.
+  /// deliver::begin_round over this network's state.
+  deliver::RoundOpen begin_round() {
+    return deliver::begin_round(metrics_, arena_.epoch_, round_cb_,
+                                live_faults() != nullptr,
+                                [this](std::uint64_t i, RoundFaults& f) {
+                                  prepare_round_faults(i, f);
+                                });
+  }
+  /// The attached plan if it injects anything, else nullptr.
+  const FaultPlan* live_faults() const {
+    return faults_ != nullptr && faults_->any() ? faults_ : nullptr;
+  }
+  /// The per-edge rule of round `round` (deliver.hpp).
+  deliver::ByteRule rule(std::uint64_t round) const {
+    return deliver::ByteRule{*graph_, {budget_bits_, strict_}, live_faults(),
+                             deliver::ByteFlags{down_.data()}, round};
+  }
+
+  /// Engine bodies: fill the arena(s) for this round and merge the
+  /// per-range tallies into `t` in ascending range order. The sharded
+  /// trio is defined in shard.cpp.
   void exchange_serial(const std::vector<Outbox>& outboxes,
-                       std::uint64_t round, RoundFaults& rf,
-                       std::size_t& round_max_bits);
+                       const deliver::ByteRule& rule, deliver::RoundTally& t);
   void exchange_parallel(const std::vector<Outbox>& outboxes,
-                         std::uint64_t round, RoundFaults& rf,
-                         std::size_t& round_max_bits);
-  /// Sharded engine bodies (defined in shard.cpp): two-phase exchange with
-  /// batched cross-shard delivery, and the per-shard broadcast/word fills.
+                         const deliver::ByteRule& rule,
+                         deliver::RoundTally& t);
   void exchange_sharded(const std::vector<Outbox>& outboxes,
-                        std::uint64_t round, RoundFaults& rf,
-                        std::size_t& round_max_bits);
-  void broadcast_fill_sharded(const std::vector<Message>& msgs,
-                              const std::vector<bool>* active,
-                              std::uint64_t round, RoundFaults& rf,
-                              bool all_live);
-  void word_fill_sharded(const std::vector<std::uint64_t>& words,
-                         std::size_t bits, std::uint64_t round,
-                         RoundFaults& rf, bool all_live);
-  /// Broadcast fast path body (both engines): bulk sender-side accounting,
-  /// then receiver-driven arena fill over the graph CSR.
+                        const deliver::ByteRule& rule,
+                        deliver::RoundTally& t);
   void broadcast_fill(const std::vector<Message>& msgs,
-                      const std::vector<bool>* active, std::uint64_t round,
-                      RoundFaults& rf, std::size_t& round_max_bits);
-  /// Shared round epilogue: fault counters, wall clock, trace row. Used by
-  /// both the Message plane (seal_round) and the fused word plane.
-  void finish_round(std::uint64_t msgs_before, std::uint64_t bits_before,
-                    std::size_t round_max_bits, std::uint64_t t0,
-                    const RoundFaults& rf);
+                      const deliver::ByteRule& rule, bool all_live,
+                      deliver::RoundTally& t);
+  void broadcast_fill_sharded(const std::vector<Message>& msgs,
+                              const deliver::ByteRule& rule, bool all_live,
+                              deliver::RoundTally& t);
+  void word_fill_sharded(const std::vector<std::uint64_t>& words,
+                         std::size_t bits, const deliver::ByteRule& rule,
+                         bool all_live, deliver::RoundTally& t);
+  /// Shared round epilogue: commits the tally to metrics, then the wall
+  /// clock and the trace row. Used by the Message and fused word planes.
+  void finish_round(deliver::RoundOpen& r);
   /// Message-plane epilogue: order check + finish_round + arena view.
-  RoundMail seal_round(std::uint64_t msgs_before, std::uint64_t bits_before,
-                       std::size_t round_max_bits, std::uint64_t t0,
-                       const RoundFaults& rf);
+  RoundMail seal_round(deliver::RoundOpen& r);
   /// Debug-build check of the ascending-sender invariant that replaced the
   /// per-inbox sort.
   void debug_check_sorted() const;
@@ -385,32 +388,29 @@ class DistBackend {
   virtual void bind(Network& net) = 0;
 
   /// Engine bodies, mirroring Network's *_sharded trio: fill the master
-  /// arena (offsets + slots / words) for this round and merge per-shard
-  /// staging into metrics in ascending shard order.
+  /// arena (offsets + slots / words) for this round, applying `rule`, and
+  /// merge the per-shard tallies into `t` in ascending shard order.
   virtual void exchange_dist(Network& net,
                              const std::vector<Network::Outbox>& outboxes,
-                             std::uint64_t round, RoundFaults& rf,
-                             std::size_t& round_max_bits) = 0;
+                             const deliver::ByteRule& rule,
+                             deliver::RoundTally& t) = 0;
   virtual void broadcast_fill_dist(Network& net,
                                    const std::vector<Message>& msgs,
-                                   const std::vector<bool>* active,
-                                   std::uint64_t round, RoundFaults& rf,
-                                   bool all_live) = 0;
+                                   const deliver::ByteRule& rule,
+                                   bool all_live, deliver::RoundTally& t) = 0;
   virtual void word_fill_dist(Network& net,
                               const std::vector<std::uint64_t>& words,
-                              std::size_t bits, std::uint64_t round,
-                              RoundFaults& rf, bool all_live) = 0;
+                              std::size_t bits, const deliver::ByteRule& rule,
+                              bool all_live, deliver::RoundTally& t) = 0;
 
   // -------- attorney accessors (friendship does not flow to derived
   // classes, so everything a backend needs is exposed as a protected
   // static here) --------
   static const Graph& graph(const Network& n) { return *n.graph_; }
   static MailArena& arena(Network& n) { return n.arena_; }
-  static RunMetrics& metrics(Network& n) { return n.metrics_; }
   static const std::vector<char>& down(const Network& n) { return n.down_; }
   static bool strict(const Network& n) { return n.strict_; }
   static std::size_t budget_bits(const Network& n) { return n.budget_bits_; }
-  static const FaultPlan* faults(const Network& n) { return n.faults_; }
 
   static std::vector<std::uint32_t>& arena_offsets(MailArena& a) {
     return a.offsets_;

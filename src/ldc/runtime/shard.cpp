@@ -1,14 +1,14 @@
 // ShardCrew / ShardSet and the Engine::kSharded round bodies.
 //
-// The Network methods defined here mirror the serial engine's two-pass
-// structure per shard: phase A (by source shard) validates, accounts, and
-// counts, staging cross-shard survivors in (src, dst) batches; phase B (by
-// destination shard, after the crew barrier) folds the batches in and
-// fills each inbox walking source shards in ascending order. Because
-// shards own contiguous ascending vertex ranges, that walk IS the serial
-// sender order, so inbox bytes, metrics, trace rows, and fault decisions
-// are byte-identical to kSerial/kParallel (the PRF fault decisions are
-// pure in (seed, round, edge) and are simply re-resolved where needed).
+// Each body runs the delivery kernel (deliver.hpp) once per shard range on
+// the shard's own worker, writing only shard-owned pages: for exchange,
+// phase A is deliver::outbox_pass over the shard's senders, staging
+// cross-shard survivors in (src, dst) batches, and phase B — after the
+// crew barrier — is deliver::source_order_fill, which walks source shards
+// in ascending order. Shards own contiguous ascending vertex ranges, so
+// that walk IS the serial sender order and inbox bytes, metrics, trace
+// rows and fault decisions are byte-identical to kSerial/kParallel.
+// Broadcast and word rounds are the kernel's receiver scan per shard.
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
@@ -25,23 +25,6 @@
 #endif
 
 namespace ldc {
-namespace {
-
-/// Same contract (and exception) as the serial/parallel engines: checked
-/// per sender before any of that sender's messages are validated.
-void check_unique_destinations_sharded(const Network::Outbox& outbox,
-                                       std::vector<NodeId>& scratch) {
-  if (outbox.size() < 2) return;
-  scratch.clear();
-  for (const auto& [dest, msg] : outbox) scratch.push_back(dest);
-  std::sort(scratch.begin(), scratch.end());
-  if (std::adjacent_find(scratch.begin(), scratch.end()) != scratch.end()) {
-    throw std::invalid_argument(
-        "Network::exchange: duplicate destination in a sender's outbox");
-  }
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- crew --
 
@@ -164,247 +147,108 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards, bool pin)
   map_ = ShardMap{views_.data(), part_.starts().data(), k};
 }
 
+void ShardSet::fold(deliver::RoundTally& t) {
+  for (const auto& st : states_) {
+    t.merge(st->tally);
+    total_traffic_.messages += st->tally.traffic_messages;
+    total_traffic_.bits += st->tally.traffic_bits;
+  }
+}
+
 // -------------------------------------------------- Network round bodies --
 
 void Network::exchange_sharded(const std::vector<Outbox>& outboxes,
-                               std::uint64_t round, RoundFaults& rf,
-                               std::size_t& round_max_bits) {
+                               const deliver::ByteRule& rule,
+                               deliver::RoundTally& t) {
   ShardSet& S = *shards_;
   const std::size_t K = S.size();
-  const bool faulty = faults_ != nullptr && faults_->any();
   const std::uint64_t ep = arena_.epoch_;
 
-  // Drop decision shared by both phases (down receiver first, exactly as
-  // in the other engines).
-  auto lost = [&](NodeId u, NodeId dest) {
-    return down_[dest] != 0 || faults_->drops_message(round, u, dest);
-  };
-
-  // Phase A (by source shard): validate, account into the shard's staging
-  // metrics, count locally-delivered survivors per local destination, and
-  // stage each cross-shard survivor in the (src, dst) batch — nothing
-  // touches another shard's arena before the barrier. Error and
-  // strict-CONGEST throws surface from the lowest shard = lowest sender.
+  // Phase A (by source shard): count local survivors per local
+  // destination, stage cross-shard ones in the (src, dst) batch — nothing
+  // touches another shard's arena before the barrier. Throws surface from
+  // the lowest shard = lowest sender.
   S.crew_.run([&](std::size_t k) {
     ShardState& st = *S.states_[k];
     const NodeId b = st.topo.vbegin;
     const NodeId e = st.topo.vend;
-    st.metrics = RunMetrics{};
-    st.round_max_bits = 0;
-    st.dropped = 0;
-    st.corrupted = 0;
-    st.traffic = ShardTraffic{};
+    st.tally = deliver::RoundTally{};
     for (auto& batch : st.outgoing) batch.clear();
     MailArena::Lane& lane = st.arena.lane(0, st.topo.owned());
-    for (NodeId u = b; u < e; ++u) {
-      check_unique_destinations_sharded(outboxes[u], st.scratch);
-      const bool sender_down = faulty && down_[u] != 0;
-      for (const auto& [dest, msg] : outboxes[u]) {
-        if (!graph_->has_edge(u, dest)) {
-          throw std::invalid_argument(
-              "Network::exchange: message to non-neighbor");
-        }
-        if (sender_down) continue;
-        ++st.metrics.messages;
-        st.metrics.total_bits += msg.bit_count();
-        st.metrics.max_message_bits =
-            std::max(st.metrics.max_message_bits, msg.bit_count());
-        if (budget_bits_ != 0 && msg.bit_count() > budget_bits_) {
-          ++st.metrics.congest_violations;
-          check_budget(msg);
-        }
-        st.round_max_bits = std::max(st.round_max_bits, msg.bit_count());
-        const bool remote = dest < b || dest >= e;
-        if (remote) {
-          ++st.traffic.messages;
-          st.traffic.bits += msg.bit_count();
-        }
-        if (faulty && lost(u, dest)) {
-          ++st.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, dest)) {
-          ++st.corrupted;
-        }
-        if (!remote) {
-          lane.add_one(dest - b, ep);
-        } else {
-          st.outgoing[S.part_.shard_of(dest)].push_back(
-              ShardBatchEntry{u, dest, msg});
-        }
-      }
-    }
+    deliver::outbox_pass(
+        rule, outboxes.data() + b, b, e, b, e, st.tally, st.scratch,
+        [&](NodeId dest) { lane.add_one(dest - b, ep); },
+        [&](NodeId u, NodeId dest, const Message& msg) {
+          st.outgoing[S.part_.shard_of(dest)].push_back({u, dest, msg});
+        });
   });
 
-  // Phase B (by destination shard): fold the staged batch counts into the
-  // local lane, lay out the shard's CSR offsets, then fill walking source
-  // shards in ascending order (own range inline at j == k) — contiguous
-  // ascending shard ranges make that the serial sender order per inbox.
-  // Corruption is applied here on the destination's own slot copy (CoW),
-  // re-resolving the pure PRF decision counted in phase A.
+  // Phase B (by destination shard): fold the batch counts into the local
+  // lane, lay out the shard's CSR, then fill in source-shard order.
   S.crew_.run([&](std::size_t k) {
     ShardState& st = *S.states_[k];
     MailArena& a = st.arena;
     const NodeId b = st.topo.vbegin;
-    const NodeId e = st.topo.vend;
-    const NodeId owned = st.topo.owned();
     MailArena::Lane& lane = a.lanes_[0];
     for (std::size_t j = 0; j < K; ++j) {
       if (j == k) continue;
-      for (const ShardBatchEntry& s : S.states_[j]->outgoing[k]) {
+      for (const auto& s : S.states_[j]->outgoing[k]) {
         lane.add_one(s.dest - b, ep);
       }
     }
-    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
-      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
-    }
-    std::uint32_t total = 0;
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      a.offsets_[lv] = total;
-      const std::uint32_t c = lane.at(lv, ep);
-      lane.set(lv, ep, total);
-      total += c;
-    }
-    a.offsets_[owned] = total;
-    if (a.slots_.size() != total) a.slots_.resize(total);
-    for (std::size_t j = 0; j < K; ++j) {
-      if (j == k) {
-        for (NodeId u = b; u < e; ++u) {
-          if (faulty && down_[u] != 0) continue;
-          for (const auto& [dest, msg] : outboxes[u]) {
-            if (dest < b || dest >= e) continue;
-            if (faulty && lost(u, dest)) continue;
-            MailSlot& slot = a.slots_[lane.counts[dest - b]++];
-            slot.first = u;
-            slot.second = msg;
-            if (faulty && faults_->corrupts_message(round, u, dest)) {
-              faults_->corrupt_payload(round, u, dest, slot.second);
-            }
-          }
-        }
-        continue;
-      }
-      for (const ShardBatchEntry& s : S.states_[j]->outgoing[k]) {
-        MailSlot& slot = a.slots_[lane.counts[s.dest - b]++];
-        slot.first = s.sender;
-        slot.second = s.msg;
-        if (faulty && faults_->corrupts_message(round, s.sender, s.dest)) {
-          faults_->corrupt_payload(round, s.sender, s.dest, slot.second);
-        }
-      }
-    }
+    a.lay_out(lane, st.topo.owned(), ep);
+    deliver::source_order_fill(
+        rule, outboxes.data() + b, b, st.topo.vend, K, k,
+        [&](std::size_t j) -> const auto& { return S.states_[j]->outgoing[k]; },
+        [&](NodeId dest) -> MailSlot& {
+          return a.slots_[lane.counts[dest - b]++];
+        });
   });
-
-  // Deterministic merge in ascending shard order: sums and maxes only, so
-  // the totals equal the serial accounting regardless of boundaries.
-  for (std::size_t k = 0; k < K; ++k) {
-    const ShardState& st = *S.states_[k];
-    metrics_.messages += st.metrics.messages;
-    metrics_.total_bits += st.metrics.total_bits;
-    metrics_.max_message_bits =
-        std::max(metrics_.max_message_bits, st.metrics.max_message_bits);
-    metrics_.congest_violations += st.metrics.congest_violations;
-    round_max_bits = std::max(round_max_bits, st.round_max_bits);
-    rf.dropped += st.dropped;
-    rf.corrupted += st.corrupted;
-    S.total_traffic_.messages += st.traffic.messages;
-    S.total_traffic_.bits += st.traffic.bits;
-  }
+  S.fold(t);
 }
 
 void Network::broadcast_fill_sharded(const std::vector<Message>& msgs,
-                                     const std::vector<bool>* /*active*/,
-                                     std::uint64_t round, RoundFaults& rf,
-                                     bool all_live) {
+                                     const deliver::ByteRule& rule,
+                                     bool all_live, deliver::RoundTally& t) {
   ShardSet& S = *shards_;
-  const bool faulty = faults_ != nullptr && faults_->any();
-  // Sender-side transmit flags were filled by the coordinator into the
-  // master arena (read-only here); the per-shard fill below is
-  // receiver-driven and writes only shard-owned pages.
-  const MailArena& master = arena_;
+  // The transmit flags live in the master arena (read-only here); each
+  // shard's receiver scan writes only its own arena.
+  const deliver::ByteFlags sends{arena_.transmits_.data()};
   S.crew_.run([&](std::size_t k) {
     ShardState& st = *S.states_[k];
     MailArena& a = st.arena;
     const NodeId b = st.topo.vbegin;
     const NodeId e = st.topo.vend;
-    const NodeId owned = st.topo.owned();
-    st.dropped = 0;
-    st.corrupted = 0;
-    st.traffic = ShardTraffic{};
-    if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
-      a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
+    st.tally = deliver::RoundTally{};
+    if (a.offsets_.size() < static_cast<std::size_t>(st.topo.owned()) + 1) {
+      a.offsets_.resize(static_cast<std::size_t>(st.topo.owned()) + 1);
     }
-    std::uint32_t total = 0;
-    for (NodeId v = b; v < e; ++v) {
-      a.offsets_[v - b] = total;
-      if (all_live) {
-        total += static_cast<std::uint32_t>(graph_->degree(v));
-        continue;
-      }
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (master.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          ++st.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          ++st.corrupted;
-        }
-        ++total;
-      }
-    }
-    a.offsets_[owned] = total;
+    const std::uint32_t total = deliver::survivor_offsets(
+        rule, b, e, all_live, sends, st.tally, a.offsets_.data());
     if (a.slots_.size() != total) a.slots_.resize(total);
-    for (NodeId v = b; v < e; ++v) {
-      std::uint32_t cur = a.offsets_[v - b];
-      const bool receiver_down = !all_live && faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (!all_live) {
-          if (master.transmits_[u] == 0) continue;
-          if (faulty &&
-              (receiver_down || faults_->drops_message(round, u, v))) {
-            continue;
-          }
-        }
-        MailSlot& slot = a.slots_[cur++];
-        slot.first = u;
-        slot.second = msgs[u];
-        if (u < b || u >= e) {
-          ++st.traffic.messages;
-          st.traffic.bits += msgs[u].bit_count();
-        }
-        if (!all_live && faulty && faults_->corrupts_message(round, u, v)) {
-          faults_->corrupt_payload(round, u, v, slot.second);
-        }
-      }
-    }
+    MailSlot* slot = a.slots_.data();
+    deliver::survivor_fill(rule, b, e, all_live, sends,
+                           [&](NodeId u, NodeId v, bool corrupt) {
+                             st.tally.cut(u, b, e, msgs[u].bit_count());
+                             rule.put(*slot++, u, v, msgs[u], corrupt);
+                           });
   });
-  for (std::size_t k = 0; k < S.size(); ++k) {
-    const ShardState& st = *S.states_[k];
-    rf.dropped += st.dropped;
-    rf.corrupted += st.corrupted;
-    S.total_traffic_.messages += st.traffic.messages;
-    S.total_traffic_.bits += st.traffic.bits;
-  }
+  S.fold(t);
 }
 
 void Network::word_fill_sharded(const std::vector<std::uint64_t>& words,
-                                std::size_t bits, std::uint64_t round,
-                                RoundFaults& rf, bool all_live) {
+                                std::size_t bits,
+                                const deliver::ByteRule& rule, bool all_live,
+                                deliver::RoundTally& t) {
   ShardSet& S = *shards_;
-  const bool faulty = faults_ != nullptr && faults_->any();
-  const MailArena& master = arena_;
+  const deliver::ByteFlags sends{arena_.transmits_.data()};
   S.crew_.run([&](std::size_t k) {
     ShardState& st = *S.states_[k];
     MailArena& a = st.arena;
     const NodeId b = st.topo.vbegin;
     const NodeId e = st.topo.vend;
     const NodeId owned = st.topo.owned();
-    st.dropped = 0;
-    st.corrupted = 0;
-    st.traffic = ShardTraffic{};
+    st.tally = deliver::RoundTally{};
     if (all_live) {
       // Dense mode, shard-local: owned words indexed by local id plus a
       // snapshot of the halo words. Lanes read ONLY shard-owned pages
@@ -418,63 +262,26 @@ void Network::word_fill_sharded(const std::vector<std::uint64_t>& words,
       for (std::size_t i = 0; i < ng; ++i) {
         a.ghost_words_[i] = words[st.topo.ghosts[i]];
       }
-      st.traffic.messages = st.topo.ghost_edges;
-      st.traffic.bits = st.topo.ghost_edges * bits;
+      st.tally.traffic_messages = st.topo.ghost_edges;
+      st.tally.traffic_bits = st.topo.ghost_edges * bits;
       return;
     }
     // Sparse mode: the shard's own CSR of (sender, word) slots over local
-    // destinations, mirroring the serial masked/faulty path.
+    // destinations.
     if (a.offsets_.size() < static_cast<std::size_t>(owned) + 1) {
       a.offsets_.resize(static_cast<std::size_t>(owned) + 1);
     }
-    std::uint32_t total = 0;
-    for (NodeId v = b; v < e; ++v) {
-      a.offsets_[v - b] = total;
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (master.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          ++st.dropped;
-          continue;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          ++st.corrupted;
-        }
-        ++total;
-      }
-    }
-    a.offsets_[owned] = total;
+    const std::uint32_t total = deliver::survivor_offsets(
+        rule, b, e, false, sends, st.tally, a.offsets_.data());
     if (a.word_slots_.size() != total) a.word_slots_.resize(total);
-    for (NodeId v = b; v < e; ++v) {
-      std::uint32_t cur = a.offsets_[v - b];
-      const bool receiver_down = faulty && down_[v] != 0;
-      for (NodeId u : graph_->neighbors(v)) {
-        if (master.transmits_[u] == 0) continue;
-        if (faulty &&
-            (receiver_down || faults_->drops_message(round, u, v))) {
-          continue;
-        }
-        WordSlot& slot = a.word_slots_[cur++];
-        slot.sender = u;
-        slot.value = words[u];
-        if (u < b || u >= e) {
-          ++st.traffic.messages;
-          st.traffic.bits += bits;
-        }
-        if (faulty && faults_->corrupts_message(round, u, v)) {
-          faults_->corrupt_word(round, u, v, slot.value, bits);
-        }
-      }
-    }
+    WordSlot* slot = a.word_slots_.data();
+    deliver::survivor_fill(rule, b, e, false, sends,
+                           [&](NodeId u, NodeId v, bool corrupt) {
+                             st.tally.cut(u, b, e, bits);
+                             rule.put(*slot++, u, v, words[u], bits, corrupt);
+                           });
   });
-  for (std::size_t k = 0; k < S.size(); ++k) {
-    const ShardState& st = *S.states_[k];
-    rf.dropped += st.dropped;
-    rf.corrupted += st.corrupted;
-    S.total_traffic_.messages += st.traffic.messages;
-    S.total_traffic_.bits += st.traffic.bits;
-  }
+  S.fold(t);
 }
 
 }  // namespace ldc

@@ -18,8 +18,8 @@
 // source shards in ascending order (its own range inline at j == k), and
 // since shard ranges are contiguous and ascending, that IS the serial
 // sender order. The engine bodies live in shard.cpp as Network member
-// functions; see DESIGN.md §11 for the full memory-model and determinism
-// argument.
+// functions that run the delivery kernel (deliver.hpp) per shard range;
+// see DESIGN.md §11 for the full memory-model and determinism argument.
 #pragma once
 
 #include <condition_variable>
@@ -33,6 +33,7 @@
 
 #include "ldc/graph/graph.hpp"
 #include "ldc/graph/partition.hpp"
+#include "ldc/runtime/deliver.hpp"
 #include "ldc/runtime/mail.hpp"
 #include "ldc/runtime/message.hpp"
 #include "ldc/runtime/metrics.hpp"
@@ -96,30 +97,16 @@ class ShardCrew {
   std::vector<std::thread> workers_;
 };
 
-/// One cross-shard message staged in a (src shard, dst shard) batch
-/// between phase A (sender side) and phase B (destination side).
-struct ShardBatchEntry {
-  NodeId sender;
-  NodeId dest;
-  Message msg;
-};
-
 /// Everything shard k owns: its topology (owned range + ghost halo +
-/// local CSR), its delivery arena (local destination ids), per-round
-/// staging for the deterministic merge, and the outgoing batch buffers.
-/// Allocated and first-touched by worker k.
+/// local CSR), its delivery arena (local destination ids), its share of
+/// the round (merged on the coordinator in shard order), and the outgoing
+/// batch buffers. Allocated and first-touched by worker k.
 struct ShardState {
   ShardTopology topo;
   MailArena arena;
+  deliver::RoundTally tally;
 
-  // Per-round staging, merged on the coordinator in shard order.
-  RunMetrics metrics;
-  std::size_t round_max_bits = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t corrupted = 0;
-  ShardTraffic traffic;
-
-  std::vector<std::vector<ShardBatchEntry>> outgoing;  ///< [dst shard]
+  std::vector<std::vector<deliver::StagedMessage>> outgoing;  ///< [dst]
   std::vector<NodeId> scratch;  ///< duplicate-destination check
 };
 
@@ -135,6 +122,10 @@ class ShardSet {
 
  private:
   friend class Network;
+
+  /// Merges the shards' round tallies into `t` in ascending shard order
+  /// and adds their cut traffic to the running total.
+  void fold(deliver::RoundTally& t);
 
   Partition part_;
   std::vector<std::unique_ptr<ShardState>> states_;

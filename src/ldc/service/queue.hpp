@@ -15,9 +15,10 @@
 //    decides whether an item is currently deliverable (the event-loop
 //    frontend uses it for session-scoped pause). Pop delivers the oldest
 //    *deliverable* item, so FIFO holds within every gate class. Gate
-//    state lives outside the queue; flip it and then poke() so blocked
-//    pops re-scan. close() overrides gates exactly like it overrides
-//    pause — shutdown must always drain.
+//    state lives outside the queue; flip it through regate(), which holds
+//    the queue lock across the flip and then wakes blocked pops to
+//    re-scan. close() overrides gates exactly like it overrides pause —
+//    shutdown must always drain.
 #pragma once
 
 #include <condition_variable>
@@ -89,9 +90,25 @@ class BoundedQueue {
     cv_.notify_all();
   }
 
-  /// Wakes every blocked pop so it re-evaluates the gate predicate. Call
-  /// after externally-owned gate state changes (e.g. a session resume).
-  void poke() { cv_.notify_all(); }
+  /// Applies `flip`, a change to externally-owned gate state (e.g. a
+  /// session pause or resume), under the queue lock, then wakes every
+  /// blocked pop to re-scan. Under the lock no pop is mid-scan, so a scan
+  /// sees all items' gates from the same side of the flip (FIFO within a
+  /// gate class holds), and no pop can read the old state and then miss
+  /// the wakeup before it sleeps.
+  template <typename Flip>
+  void regate(Flip&& flip) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      flip();
+    }
+    cv_.notify_all();
+  }
+
+  /// Wakes every blocked pop so it re-evaluates the gate predicate.
+  void poke() {
+    regate([] {});
+  }
 
   /// Rejects all further pushes; queued items still drain (close beats
   /// pause and gates, so a paused service can always shut down).

@@ -109,12 +109,13 @@ void Service::pause() { queue_.pause(); }
 void Service::resume() { queue_.resume(); }
 
 void Service::pause_session(SessionGate& gate) {
-  gate.paused.store(true, std::memory_order_release);
+  queue_.regate([&] { gate.paused.store(true, std::memory_order_release); });
 }
 
 void Service::resume_session(SessionGate& gate) {
-  gate.paused.store(false, std::memory_order_release);
-  queue_.poke();  // blocked workers re-scan for this session's jobs
+  // Blocked workers re-scan for this session's jobs; flipping under the
+  // queue lock keeps a scan from seeing job 1 gated but job 2 released.
+  queue_.regate([&] { gate.paused.store(false, std::memory_order_release); });
 }
 
 void Service::drain() {

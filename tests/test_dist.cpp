@@ -364,8 +364,8 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
   };
   enum class Path { kOutboxes, kBroadcast, kFusedWord };
   auto run = [&](Coordinator* coord, const std::vector<bool>* active,
-                 const FaultPlan* faults, Path path) {
-    Network net(coord != nullptr ? coord->corpus_graph() : g);
+                 const FaultPlan* faults, Path path, std::size_t budget) {
+    Network net(coord != nullptr ? coord->corpus_graph() : g, budget);
     if (coord != nullptr) net.attach_dist(coord);
     Trace trace;
     net.attach_trace(&trace);
@@ -413,25 +413,34 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
     CoordinatorOptions opt;
     opt.workers = workers;
     Coordinator coord(tc.path(), opt);
-    for (const std::vector<bool>* active : masks) {
-      for (const FaultPlan* faults : plans) {
-        const Flat ref = run(nullptr, active, faults, Path::kOutboxes);
-        for (const Path path :
-             {Path::kOutboxes, Path::kBroadcast, Path::kFusedWord}) {
-          const Flat got = run(&coord, active, faults, path);
-          const std::string label =
-              std::string(path == Path::kFusedWord  ? "fused"
-                          : path == Path::kOutboxes ? "outboxes"
-                                                    : "broadcast") +
-              "/" + (active != nullptr ? "masked" : "all") +
-              (faults != nullptr ? "+faults" : "") + " @dist" +
-              std::to_string(workers);
-          EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
-          EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
-              << label << ": metrics differ: ref {" << ref.metrics
-              << "} got {" << got.metrics << "}";
-          EXPECT_EQ(ref.trace_digest, got.trace_digest)
-              << label << ": trace digests differ";
+    // Budget 8 is under the 9-bit payload: every message is a (non-strict)
+    // CONGEST violation, which the workers must account like the serial
+    // reference.
+    for (const std::size_t budget : {0u, 8u}) {
+      for (const std::vector<bool>* active : masks) {
+        for (const FaultPlan* faults : plans) {
+          const Flat ref =
+              run(nullptr, active, faults, Path::kOutboxes, budget);
+          if (budget != 0) {
+            EXPECT_GT(ref.metrics.congest_violations, 0u);
+          }
+          for (const Path path :
+               {Path::kOutboxes, Path::kBroadcast, Path::kFusedWord}) {
+            const Flat got = run(&coord, active, faults, path, budget);
+            const std::string label =
+                std::string(path == Path::kFusedWord  ? "fused"
+                            : path == Path::kOutboxes ? "outboxes"
+                                                      : "broadcast") +
+                "/" + (active != nullptr ? "masked" : "all") +
+                (faults != nullptr ? "+faults" : "") + " budget " +
+                std::to_string(budget) + " @dist" + std::to_string(workers);
+            EXPECT_EQ(ref.slots, got.slots) << label << ": deliveries differ";
+            EXPECT_TRUE(ref.metrics.same_communication(got.metrics))
+                << label << ": metrics differ: ref {" << ref.metrics
+                << "} got {" << got.metrics << "}";
+            EXPECT_EQ(ref.trace_digest, got.trace_digest)
+                << label << ": trace digests differ";
+          }
         }
       }
     }

@@ -34,6 +34,8 @@
 #include "ldc/runtime/network.hpp"
 #include "ldc/support/prf.hpp"
 
+#include "congest_rounds.hpp"
+
 namespace ldc {
 namespace {
 
@@ -531,36 +533,31 @@ TEST(Sharded, NonNeighborThrows) {
 
 TEST(Sharded, CongestAccountingMatchesSerial) {
   const Graph g = gen::random_regular(50, 6, 17);
-  auto run = [&](std::size_t shards) {
-    Network net(g, /*budget_bits=*/10);
-    if (shards > 0) net.set_engine(Network::Engine::kSharded, shards);
-    std::vector<Message> msgs(g.n());
-    for (NodeId v = 0; v < g.n(); ++v) {
-      BitWriter w;
-      w.write(v, v % 2 == 0 ? 8 : 16);  // odd nodes violate the budget
-      msgs[v] = Message::from(w);
+  for (const congest_rounds::Shape shape : congest_rounds::kShapes) {
+    auto run = [&](std::size_t shards) {
+      Network net(g, /*budget_bits=*/10);  // odd nodes violate it
+      if (shards > 0) net.set_engine(Network::Engine::kSharded, shards);
+      congest_rounds::run(net, shape);
+      return net.metrics();
+    };
+    const RunMetrics m0 = run(0);
+    EXPECT_GT(m0.congest_violations, 0u) << congest_rounds::name(shape);
+    for (std::size_t shards : {2u, 4u, 7u}) {
+      EXPECT_TRUE(m0.same_communication(run(shards)))
+          << congest_rounds::name(shape) << " @" << shards << " shards";
     }
-    net.exchange_broadcast(msgs);
-    return net.metrics();
-  };
-  const RunMetrics m0 = run(0);
-  EXPECT_GT(m0.congest_violations, 0u);
-  for (std::size_t shards : {2u, 4u, 7u}) {
-    EXPECT_TRUE(m0.same_communication(run(shards))) << shards << " shards";
   }
 }
 
 TEST(Sharded, StrictViolationThrows) {
   const Graph g = gen::path(4);
-  for (std::size_t shards : {2u, 4u}) {
-    Network net(g, /*budget_bits=*/4, /*strict=*/true);
-    net.set_engine(Network::Engine::kSharded, shards);
-    BitWriter w;
-    w.write(0, 9);
-    EXPECT_THROW(
-        net.exchange_broadcast(std::vector<Message>(4, Message::from(w))),
-        CongestViolation)
-        << shards << " shards";
+  for (const congest_rounds::Shape shape : congest_rounds::kShapes) {
+    for (std::size_t shards : {2u, 4u}) {
+      Network net(g, /*budget_bits=*/4, /*strict=*/true);
+      net.set_engine(Network::Engine::kSharded, shards);
+      EXPECT_THROW(congest_rounds::run(net, shape), CongestViolation)
+          << congest_rounds::name(shape) << " @" << shards << " shards";
+    }
   }
 }
 
