@@ -304,9 +304,11 @@ void run(harness::ExperimentContext& ctx) {
   // ---- E21c ------------------------------------------------------------
   // The logical/physical split: cross-shard messages and bits must be
   // EXACTLY the in-process sharded engine's numbers (same partition, same
-  // staging rule), while frames/bytes are the wire's own story — K² batch
-  // frames per exchange round plus acks, relays and inboxes, headers and
-  // digests included.
+  // counting rule), while frames/bytes are the wire's own story — one
+  // request/reply frame pair per worker for each masked or faulty
+  // broadcast round, headers and digests included. Linial's rounds are
+  // all live and stay in the coordinator, so its only frames are the
+  // assign handshake of the bind.
   auto& cost = ctx.table(
       "E21c: logical cut traffic vs physical wire cost (Linial, n = " +
           std::to_string(pg.n()) + ")",

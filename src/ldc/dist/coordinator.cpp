@@ -1,5 +1,5 @@
 // Coordinator: process management, the non-blocking socket pump, the
-// K² batch barrier, and the master-arena splice (DESIGN.md §12).
+// per-round reply collection, and the master-arena splice (DESIGN.md §12).
 //
 // Deadlock freedom: workers use plain blocking I/O, so the coordinator
 // must never block on a write — all sends go through per-worker
@@ -316,19 +316,6 @@ Coordinator::Incoming Coordinator::await_frame(
   }
 }
 
-void Coordinator::rethrow_worker_error(std::uint32_t shard,
-                                       std::uint32_t code,
-                                       const std::string& what) const {
-  switch (code) {
-    case kErrInvalidArgument:
-      throw std::invalid_argument(what);
-    case kErrCongest:
-      throw CongestViolation(what);
-    default:
-      throw WorkerError("shard " + std::to_string(shard) + ": " + what);
-  }
-}
-
 void Coordinator::handshake() {
   const std::size_t K = conns_.size();
   std::vector<char> satisfied(K, 0);
@@ -442,191 +429,15 @@ void Coordinator::bind(Network& net) {
   bound_ = true;
 }
 
+void Coordinator::add_traffic(const deliver::RoundTally& t) {
+  traffic_.messages += t.traffic_messages;
+  traffic_.bits += t.traffic_bits;
+}
+
 void Coordinator::fold(deliver::RoundTally& t,
                        const deliver::RoundTally& shards) {
   t.merge(shards);
-  traffic_.messages += shards.traffic_messages;
-  traffic_.bits += shards.traffic_bits;
-}
-
-void Coordinator::exchange_dist(Network& net,
-                                const std::vector<Network::Outbox>& outboxes,
-                                const deliver::ByteRule& rule,
-                                deliver::RoundTally& t) {
-  const std::uint32_t n = graph_.n();
-  const std::size_t K = conns_.size();
-  const std::uint64_t round = rule.round;
-
-  std::string ctx;
-  {
-    PayloadWriter w;
-    encode_fault_ctx(w, rule.plan, DistBackend::down(net), n);
-    ctx = w.take();
-  }
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId e = part_.end(k);
-    PayloadWriter w;
-    w.raw(ctx.data(), ctx.size());
-    for (NodeId u = b; u < e; ++u) {
-      w.u32(static_cast<std::uint32_t>(outboxes[u].size()));
-      for (const auto& [dest, msg] : outboxes[u]) {
-        w.u32(dest);
-        encode_message(w, msg);
-      }
-    }
-    queue_frame(k, FrameKind::kOutbox, round, 0,
-                static_cast<std::uint32_t>(k), e - b, w.take());
-  }
-
-  // The barrier: the round closes only when all K² batch frames are in
-  // (each acked back to its source, off-diagonal ones relayed to their
-  // destination) and all K inbox frames arrived. On a worker kError the
-  // round flips to aborting: every worker is told to discard the round,
-  // and the coordinator still drains until each shard has concluded
-  // (error, abort ack, or an already-complete inbox) before rethrowing
-  // the lowest shard's error — the error-order contract of the
-  // in-process engines.
-  std::vector<std::vector<char>> batch_seen(K, std::vector<char>(K, 0));
-  std::size_t batches = 0;
-  std::vector<std::optional<Frame>> inbox(K);
-  std::vector<std::optional<std::pair<std::uint32_t, std::string>>> errors(K);
-  std::vector<char> abort_ack(K, 0);
-  std::vector<char> satisfied(K, 0);
-  bool aborting = false;
-  auto concluded = [&](std::size_t k) {
-    return errors[k].has_value() || abort_ack[k] != 0 ||
-           inbox[k].has_value();
-  };
-  last_rx_ms_ = mono_ms();
-  for (;;) {
-    if (!aborting && batches == K * K &&
-        static_cast<std::size_t>(std::count_if(
-            inbox.begin(), inbox.end(),
-            [](const auto& o) { return o.has_value(); })) == K) {
-      break;
-    }
-    if (aborting) {
-      bool all = true;
-      for (std::size_t k = 0; k < K; ++k) all = all && concluded(k);
-      if (all) break;
-    }
-    Incoming in = await_frame(round, "exchange", opt_.heartbeat_ms, false,
-                              satisfied);
-    const FrameHeader& h = in.frame.header;
-    if (h.round != round && h.kind != FrameKind::kHeartbeat) {
-      throw FrameError("shard " + std::to_string(in.from) + ": " +
-                       frame_kind_name(h.kind) + " frame for round " +
-                       std::to_string(h.round) + " inside round " +
-                       std::to_string(round));
-    }
-    switch (h.kind) {
-      case FrameKind::kBatch: {
-        if (h.src_shard != in.from || h.dst_shard >= K ||
-            batch_seen[in.from][h.dst_shard] != 0) {
-          throw FrameError("shard " + std::to_string(in.from) +
-                           ": bad or duplicate batch frame");
-        }
-        batch_seen[in.from][h.dst_shard] = 1;
-        ++batches;
-        if (!aborting) {
-          queue_frame(in.from, FrameKind::kBatchAck, round, h.src_shard,
-                      h.dst_shard, 0, {});
-          if (h.dst_shard != in.from) {
-            queue_frame(h.dst_shard, FrameKind::kBatch, round, h.src_shard,
-                        h.dst_shard, h.count, in.frame.payload);
-          }
-        }
-        break;
-      }
-      case FrameKind::kInbox:
-        if (h.src_shard != in.from || inbox[in.from].has_value()) {
-          throw FrameError("shard " + std::to_string(in.from) +
-                           ": bad or duplicate inbox frame");
-        }
-        inbox[in.from] = std::move(in.frame);
-        satisfied[in.from] = 1;
-        break;
-      case FrameKind::kError: {
-        PayloadReader r(in.frame.payload, "error");
-        const std::uint32_t code = r.u32();
-        const std::uint32_t len = r.u32();
-        const std::string_view text = r.bytes(len);
-        r.expect_end();
-        errors[in.from] = {code, std::string(text)};
-        satisfied[in.from] = 1;
-        if (!aborting) {
-          aborting = true;
-          for (std::size_t j = 0; j < K; ++j) {
-            queue_frame(j, FrameKind::kAbort, round, 0,
-                        static_cast<std::uint32_t>(j), 0, {});
-          }
-        }
-        break;
-      }
-      case FrameKind::kAbort:
-        abort_ack[in.from] = 1;
-        satisfied[in.from] = 1;
-        break;
-      case FrameKind::kHeartbeat:
-        break;
-      default:
-        throw FrameError("shard " + std::to_string(in.from) +
-                         ": unexpected " + frame_kind_name(h.kind) +
-                         " frame inside an exchange round");
-    }
-  }
-  if (aborting) {
-    for (std::size_t k = 0; k < K; ++k) {
-      if (errors[k].has_value()) {
-        rethrow_worker_error(static_cast<std::uint32_t>(k),
-                             errors[k]->first, errors[k]->second);
-      }
-    }
-    throw WorkerError("exchange round aborted with no worker error");
-  }
-
-  // Splice: rebase each shard's inbox CSR into the master arena. Shards
-  // own contiguous ascending ranges, so appending them in shard order IS
-  // the serial layout; within each inbox the worker already produced
-  // ascending sender order.
-  MailArena& a = DistBackend::arena(net);
-  std::vector<std::uint32_t>& offsets = DistBackend::arena_offsets(a);
-  std::vector<MailSlot>& slots = DistBackend::arena_slots(a);
-  if (offsets.size() < static_cast<std::size_t>(n) + 1) {
-    offsets.resize(static_cast<std::size_t>(n) + 1);
-  }
-  std::uint32_t total = 0;
-  std::vector<std::uint32_t> base(K);
-  for (std::size_t k = 0; k < K; ++k) {
-    base[k] = total;
-    total += inbox[k]->header.count;
-  }
-  offsets[n] = total;
-  if (slots.size() != total) slots.resize(total);
-
-  deliver::RoundTally shards;
-  for (std::size_t k = 0; k < K; ++k) {
-    const NodeId b = part_.begin(k);
-    const NodeId owned = part_.end(k) - b;
-    const std::uint32_t count = inbox[k]->header.count;
-    PayloadReader r(inbox[k]->payload, "inbox");
-    shards.merge(decode_summary(r));
-    for (NodeId lv = 0; lv < owned; ++lv) {
-      offsets[b + lv] = base[k] + r.u32();
-    }
-    if (r.u32() != count) {
-      throw FrameError("shard " + std::to_string(k) +
-                       ": inbox offsets disagree with the slot count");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      MailSlot& slot = slots[base[k] + i];
-      slot.first = r.u32();
-      slot.second = decode_message(r);
-    }
-    r.expect_end();
-  }
-  fold(t, shards);
+  add_traffic(shards);
 }
 
 std::vector<Frame> Coordinator::collect_replies(FrameKind kind,

@@ -2,16 +2,17 @@
 // sockets, and the barrier protocol (DESIGN.md §12).
 //
 // A Coordinator is a DistBackend: attach it to a Network with
-// attach_dist() and every exchange / broadcast / fused-word round is
-// executed by K `ldc_shard` worker processes, each running the sharded
-// engine's phase A / phase B over its contiguous vertex range, with the
-// per-(src, dst) batch buffers traveling as digest-sealed frames. The
-// coordinator is the hub: it relays batches between workers, acks each
-// one, and closes round N only when all K² batch frames for N are acked
-// and all K inbox frames are in — then splices the per-shard inbox CSRs
-// into the Network's master arena in ascending shard order, which (the
-// ranges being contiguous and ascending) reproduces the serial layout
-// byte for byte.
+// attach_dist() and every masked or faulty broadcast / fused-word round is
+// executed by K `ldc_shard` worker processes, each running the kernel's
+// receiver scan over its contiguous vertex range. The coordinator sends
+// each worker one digest-sealed round frame, closes round N when all K
+// replies for N are in, and splices the per-shard inbox CSRs into the
+// Network's master arena in ascending shard order, which (the ranges being
+// contiguous and ascending) reproduces the serial layout byte for byte.
+// All-live rounds are laid out locally. Outbox rounds (Network::exchange)
+// never reach the workers: Network runs them itself, as under every
+// engine — no algorithm sends them — and reports their cut traffic
+// through add_traffic().
 //
 // Two ways to get workers:
 //  * spawn mode (default): fork+exec K `ldc_shard` processes over
@@ -106,10 +107,10 @@ class Coordinator : public DistBackend {
 
  protected:
   void bind(Network& net) override;
-  void exchange_dist(Network& net,
-                     const std::vector<Network::Outbox>& outboxes,
-                     const deliver::ByteRule& rule,
-                     deliver::RoundTally& t) override;
+  const std::vector<NodeId>& starts() const override {
+    return part_.starts();
+  }
+  void add_traffic(const deliver::RoundTally& t) override;
   void broadcast_fill_dist(Network& net, const std::vector<Message>& msgs,
                            const deliver::ByteRule& rule, bool all_live,
                            deliver::RoundTally& t) override;
@@ -166,13 +167,6 @@ class Coordinator : public DistBackend {
   /// them in shard order.
   std::vector<Frame> collect_replies(FrameKind kind, std::uint64_t round,
                                      const char* phase);
-
-  /// Maps a worker kError frame to the matching typed exception.
-  [[noreturn]] void rethrow_worker_error(std::uint32_t shard,
-                                         std::uint32_t code,
-                                         const std::string& what) const;
-
-  std::size_t shard_of(NodeId v) const { return part_.shard_of(v); }
 
   /// Merges a round's per-shard tallies into `t` and adds their cut
   /// traffic to the run's logical counters.

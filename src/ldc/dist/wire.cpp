@@ -42,8 +42,19 @@ std::uint64_t get_u64(const char* p) {
 }
 
 bool known_kind(std::uint16_t k) {
-  return k >= static_cast<std::uint16_t>(FrameKind::kHello) &&
-         k <= static_cast<std::uint16_t>(FrameKind::kHeartbeat);
+  switch (static_cast<FrameKind>(k)) {
+    case FrameKind::kHello:
+    case FrameKind::kAssign:
+    case FrameKind::kAssignAck:
+    case FrameKind::kBcast:
+    case FrameKind::kInboxIds:
+    case FrameKind::kWordSparse:
+    case FrameKind::kInboxWords:
+    case FrameKind::kShutdown:
+    case FrameKind::kHeartbeat:
+      return true;
+  }
+  return false;
 }
 
 std::uint64_t frame_digest(const char* header, std::string_view payload) {
@@ -92,18 +103,10 @@ const char* frame_kind_name(FrameKind k) {
     case FrameKind::kHello: return "hello";
     case FrameKind::kAssign: return "assign";
     case FrameKind::kAssignAck: return "assign_ack";
-    case FrameKind::kOutbox: return "outbox";
-    case FrameKind::kBatch: return "batch";
-    case FrameKind::kBatchAck: return "batch_ack";
-    case FrameKind::kInbox: return "inbox";
     case FrameKind::kBcast: return "bcast";
     case FrameKind::kInboxIds: return "inbox_ids";
-    case FrameKind::kWordDense: return "word_dense";
-    case FrameKind::kSummary: return "summary";
     case FrameKind::kWordSparse: return "word_sparse";
     case FrameKind::kInboxWords: return "inbox_words";
-    case FrameKind::kError: return "error";
-    case FrameKind::kAbort: return "abort";
     case FrameKind::kShutdown: return "shutdown";
     case FrameKind::kHeartbeat: return "heartbeat";
   }
@@ -128,7 +131,10 @@ std::string encode_frame(FrameKind kind, std::uint64_t round,
   put_u32(p + 32, count);
   put_u32(p + 36, 0);
   put_u64(p + kDigestOffset, frame_digest(p, payload));
-  std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
+  // An empty view's data() may be null, which memcpy must never see.
+  if (!payload.empty()) {
+    std::memcpy(p + kFrameHeaderBytes, payload.data(), payload.size());
+  }
   return out;
 }
 
@@ -243,58 +249,6 @@ FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n) {
   const std::string_view bits = r.bytes((n + 7) / 8);
   ctx.down.assign(bits.begin(), bits.end());
   return ctx;
-}
-
-void encode_message(PayloadWriter& w, const Message& m) {
-  const std::size_t bits = m.bit_count();
-  w.u32(static_cast<std::uint32_t>(bits));
-  BitReader reader = m.reader();
-  for (std::size_t done = 0; done < bits; done += 64) {
-    const int take = static_cast<int>(std::min<std::size_t>(64, bits - done));
-    w.u64(reader.read(take));
-  }
-}
-
-Message decode_message(PayloadReader& r) {
-  const std::uint32_t bits = r.u32();
-  // A CONGEST payload of > 2^27 bits (16 MiB) in one message is hostile
-  // input, not a workload.
-  if (bits > (1u << 27)) {
-    throw FrameError("message: payload of " + std::to_string(bits) +
-                     " bits exceeds the wire cap");
-  }
-  BitWriter w;
-  for (std::uint32_t done = 0; done < bits; done += 64) {
-    const int take = static_cast<int>(std::min<std::uint32_t>(64, bits - done));
-    w.write(r.u64(), take);
-  }
-  return Message::from(w);
-}
-
-void encode_summary(PayloadWriter& w, const ShardRoundSummary& s) {
-  w.u64(s.messages);
-  w.u64(s.total_bits);
-  w.u64(s.max_message_bits);
-  w.u64(s.congest_violations);
-  w.u64(s.round_max_bits);
-  w.u64(s.dropped);
-  w.u64(s.corrupted);
-  w.u64(s.traffic_messages);
-  w.u64(s.traffic_bits);
-}
-
-ShardRoundSummary decode_summary(PayloadReader& r) {
-  ShardRoundSummary s;
-  s.messages = r.u64();
-  s.total_bits = r.u64();
-  s.max_message_bits = r.u64();
-  s.congest_violations = r.u64();
-  s.round_max_bits = r.u64();
-  s.dropped = r.u64();
-  s.corrupted = r.u64();
-  s.traffic_messages = r.u64();
-  s.traffic_bits = r.u64();
-  return s;
 }
 
 std::uint64_t parse_positive_u64(const char* name, const char* text,

@@ -17,12 +17,13 @@
 //
 // Payloads are flat little-endian records built/parsed through
 // PayloadWriter/PayloadReader; every reader overrun throws FrameError.
-// The per-round payloads serialize the SAME data the in-process sharded
-// engine stages in memory: per-(src,dst) staged-message buffers become
-// kBatch frames, per-shard inbox CSRs come back as kInbox frames, and
-// the fault context ships the plan parameters plus the round's down
-// bitmap so workers re-resolve the pure PRF drop/corrupt decisions
-// bit-identically (fault.hpp).
+// A round is one request frame per worker (kBcast / kWordSparse: the
+// fault context, the transmit bitmap, and for word rounds the values) and
+// one reply (kInboxIds / kInboxWords: the shard's inbox CSR). The fault
+// context ships the plan parameters plus the round's down bitmap so
+// workers re-resolve the pure PRF drop/corrupt decisions bit-identically
+// (fault.hpp). No Message payload crosses the wire: outbox rounds run in
+// the coordinator's Network, and broadcast replies carry sender ids only.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,7 @@
 #include <vector>
 
 #include "ldc/graph/graph.hpp"
-#include "ldc/runtime/deliver.hpp"
 #include "ldc/runtime/fault.hpp"
-#include "ldc/runtime/message.hpp"
 
 namespace ldc::dist {
 
@@ -70,34 +69,22 @@ inline constexpr std::size_t kFrameHeaderBytes = 48;
 /// (a hostile length prefix must not drive an allocation).
 inline constexpr std::uint64_t kMaxFramePayload = 1ull << 30;
 
+/// The frame kinds. The values are the wire's; the gaps (4-7, 10, 11,
+/// 14, 15) are kinds of an earlier protocol revision, which a reader
+/// rejects as unknown.
 enum class FrameKind : std::uint16_t {
   kHello = 1,       ///< worker→coord: corpus content digest + shape
   kAssign = 2,      ///< coord→worker: shard index, partition, budget
   kAssignAck = 3,   ///< worker→coord: topology built, ready
-  kOutbox = 4,      ///< coord→worker: fault ctx + owned senders' outboxes
-  kBatch = 5,       ///< worker→coord (then relayed): (src,dst) batch
-  kBatchAck = 6,    ///< coord→worker: batch (round,src,dst) accepted
-  kInbox = 7,       ///< worker→coord: staging summary + inbox CSR
   kBcast = 8,       ///< coord→worker: fault ctx + transmit mask
   kInboxIds = 9,    ///< worker→coord: broadcast inbox as sender ids
-  kWordDense = 10,  ///< reserved (dense word rounds are coordinator-local)
-  kSummary = 11,    ///< reserved (per-round summaries ride in kInbox)
   kWordSparse = 12, ///< coord→worker: masked/faulty fused word round
   kInboxWords = 13, ///< worker→coord: word-slot CSR reply
-  kError = 14,      ///< worker→coord: typed phase error (code + what())
-  kAbort = 15,      ///< coord→worker: discard the named round
   kShutdown = 16,   ///< coord→worker: clean exit
   kHeartbeat = 17,  ///< either way: liveness probe, echoed by workers
 };
 
 const char* frame_kind_name(FrameKind k);
-
-/// Error codes carried by kError frames; the coordinator rethrows the
-/// lowest shard's error as the matching exception type, preserving the
-/// engine-independent error contract of Network::exchange.
-inline constexpr std::uint32_t kErrInvalidArgument = 1;
-inline constexpr std::uint32_t kErrCongest = 2;
-inline constexpr std::uint32_t kErrInternal = 3;
 
 struct FrameHeader {
   FrameKind kind = FrameKind::kHeartbeat;
@@ -251,18 +238,6 @@ struct FaultCtx {
 void encode_fault_ctx(PayloadWriter& w, const FaultPlan* plan,
                       const std::vector<char>& down, NodeId n);
 FaultCtx decode_fault_ctx(PayloadReader& r, NodeId n);
-
-/// Message payload on the wire: exact bit count + the packed words.
-void encode_message(PayloadWriter& w, const Message& m);
-Message decode_message(PayloadReader& r);
-
-/// A worker's share of one exchange round — the kernel's round tally,
-/// nine u64 fields in declaration order on the wire — merged by the
-/// coordinator in ascending shard order.
-using ShardRoundSummary = deliver::RoundTally;
-
-void encode_summary(PayloadWriter& w, const ShardRoundSummary& s);
-ShardRoundSummary decode_summary(PayloadReader& r);
 
 // ------------------------------------------------------ strict knob parsing --
 

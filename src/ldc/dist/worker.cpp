@@ -1,12 +1,11 @@
 // ShardWorker: the per-process delivery plane of the distributed engine.
 //
 // The round bodies apply the same delivery kernel (runtime/deliver.hpp)
-// as the in-process engines, over the worker's own vertex range: phase A
-// of an exchange is outbox_pass, phase B is source_order_fill, and
-// broadcast/word rounds are the receiver scan. Where the in-process
-// sharded engine reads shared memory, this one reads a decoded frame; the
-// fate of every edge is decided by the same code, which is what makes the
-// cross-engine digest equality hold.
+// as the in-process engines, over the worker's own vertex range: masked
+// or faulty broadcast and word rounds are the kernel's receiver scan.
+// Where the in-process sharded engine reads shared memory, this one reads
+// a decoded frame; the fate of every edge is decided by the same code,
+// which is what makes the cross-engine digest equality hold.
 #include "ldc/dist/worker.hpp"
 
 #include <algorithm>
@@ -24,15 +23,6 @@
 
 namespace ldc::dist {
 namespace {
-
-/// Coordinator told us to discard the in-flight round (another shard
-/// errored); unwinds the round handler back to the serve loop.
-struct AbortRound {
-  std::uint64_t round;
-};
-
-/// kShutdown can arrive inside a round wait; unwinds run() to exit 0.
-struct ShutdownRequested {};
 
 bool bitmap_bit(std::string_view bits, NodeId v) {
   return (static_cast<std::uint8_t>(bits[v >> 3]) >> (v & 7)) & 1u;
@@ -63,30 +53,6 @@ void ShardWorker::send_frame(FrameKind kind, std::uint64_t round,
                "ldc_shard");
 }
 
-void ShardWorker::send_error(std::uint64_t round, std::uint32_t code,
-                             const char* what) {
-  PayloadWriter w;
-  w.u32(code);
-  const std::string_view text(what);
-  w.u32(static_cast<std::uint32_t>(text.size()));
-  w.raw(text.data(), text.size());
-  send_frame(FrameKind::kError, round, 0, code, w.take());
-}
-
-std::size_t ShardWorker::shard_of(NodeId v) const {
-  std::size_t lo = 0;
-  std::size_t hi = shards_ - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo + 1) / 2;
-    if (starts_[mid] <= v) {
-      lo = mid;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return lo;
-}
-
 int ShardWorker::run() {
   // HELLO: the digest handshake. The coordinator refuses any worker whose
   // corpus content digest differs from its own (AttachError), so a shard
@@ -106,17 +72,12 @@ int ShardWorker::run() {
         case FrameKind::kAssign:
           handle_assign(*f);
           break;
-        case FrameKind::kOutbox:
-          handle_outbox(*f);
-          break;
         case FrameKind::kBcast:
           handle_bcast(*f);
           break;
         case FrameKind::kWordSparse:
           handle_word_sparse(*f);
           break;
-        case FrameKind::kAbort:
-          break;  // stale: the round it names was already abandoned here
         case FrameKind::kHeartbeat:
           send_frame(FrameKind::kHeartbeat, f->header.round, 0, 0, {});
           break;
@@ -127,8 +88,6 @@ int ShardWorker::run() {
                            frame_kind_name(f->header.kind) + " frame");
       }
     }
-  } catch (const ShutdownRequested&) {
-    return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "ldc_shard[%u]: fatal: %s\n", shard_, e.what());
     return 1;
@@ -145,174 +104,20 @@ void ShardWorker::handle_assign(const Frame& f) {
     throw FrameError("assign: bad shard index " + std::to_string(shard_) +
                      " of " + std::to_string(shards_));
   }
-  starts_.assign(shards_ + 1, 0);
-  for (std::size_t i = 0; i <= shards_; ++i) starts_[i] = r.u32();
+  std::vector<NodeId> starts(shards_ + 1);
+  for (NodeId& s : starts) s = r.u32();
   r.expect_end();
   const Graph& g = mg_->graph();
-  if (starts_.front() != 0 || starts_.back() != g.n()) {
+  if (starts.front() != 0 || starts.back() != g.n()) {
     throw FrameError("assign: partition does not cover [0, n)");
   }
   topo_ = ShardTopology{};
-  topo_.build(g, starts_[shard_], starts_[shard_ + 1]);
+  topo_.build(g, starts[shard_], starts[shard_ + 1]);
   assigned_ = true;
   PayloadWriter w;
   w.u64(topo_.ghost_edges);
   w.u64(topo_.ghosts.size());
   send_frame(FrameKind::kAssignAck, f.header.round, 0, shard_, w.take());
-}
-
-void ShardWorker::handle_outbox(const Frame& f) {
-  if (!assigned_) throw FrameError("outbox: worker not assigned");
-  const Graph& g = mg_->graph();
-  const NodeId b = topo_.vbegin;
-  const NodeId e = topo_.vend;
-  const NodeId owned = topo_.owned();
-  const std::uint64_t round = f.header.round;
-  const std::size_t K = shards_;
-
-  PayloadReader r(f.payload, "outbox");
-  const FaultCtx ctx = decode_fault_ctx(r, g.n());
-  if (f.header.count != owned) {
-    throw FrameError("outbox: sender count " +
-                     std::to_string(f.header.count) + " != owned " +
-                     std::to_string(owned));
-  }
-  std::vector<Network::Outbox> out(owned);
-  for (NodeId lu = 0; lu < owned; ++lu) {
-    const std::uint32_t len = r.u32();
-    out[lu].reserve(len);
-    for (std::uint32_t i = 0; i < len; ++i) {
-      const NodeId dest = r.u32();
-      out[lu].emplace_back(dest, decode_message(r));
-    }
-  }
-  r.expect_end();
-
-  const auto rule = make_rule(g, budget_bits_, strict_, ctx, round);
-
-  // Phase A: the kernel's sender pass; cross-shard survivors are
-  // serialized into their (src, dst) batch.
-  deliver::RoundTally sum;
-  std::vector<std::uint32_t> counts(owned, 0);
-  std::vector<PayloadWriter> batches(K);
-  std::vector<std::uint32_t> batch_counts(K, 0);
-  try {
-    deliver::outbox_pass(
-        rule, out.data(), b, e, b, e, sum, scratch_,
-        [&](NodeId dest) { ++counts[dest - b]; },
-        [&](NodeId u, NodeId dest, const Message& msg) {
-          const std::size_t j = shard_of(dest);
-          batches[j].u32(u);
-          batches[j].u32(dest);
-          encode_message(batches[j], msg);
-          ++batch_counts[j];
-        });
-  } catch (const CongestViolation& ex) {
-    send_error(round, kErrCongest, ex.what());
-    return;
-  } catch (const std::invalid_argument& ex) {
-    send_error(round, kErrInvalidArgument, ex.what());
-    return;
-  }
-
-  // Ship all K batches in ascending destination order (the diagonal one is
-  // always empty — local deliveries never leave the shard — but still
-  // travels, so the coordinator's barrier is exactly K² frames per round).
-  for (std::size_t j = 0; j < K; ++j) {
-    send_frame(FrameKind::kBatch, round, static_cast<std::uint32_t>(j),
-               batch_counts[j], batches[j].take());
-  }
-
-  // Barrier: K acks for our batches plus the K-1 batches destined here
-  // (the coordinator relays them; our own diagonal is not echoed back).
-  std::vector<std::vector<deliver::StagedMessage>> incoming(K);
-  std::vector<char> have(K, 0);
-  have[shard_] = 1;
-  std::size_t acks = 0;
-  std::size_t got = 1;
-  try {
-    while (acks < K || got < K) {
-      std::optional<Frame> nf = read_frame_fd(fd_, reader_);
-      if (!nf) {
-        throw WorkerError("ldc_shard: coordinator closed mid-round");
-      }
-      switch (nf->header.kind) {
-        case FrameKind::kBatchAck: {
-          if (nf->header.round != round || nf->header.src_shard != shard_) {
-            throw FrameError("batch_ack: wrong round or source");
-          }
-          ++acks;
-          break;
-        }
-        case FrameKind::kBatch: {
-          const std::uint32_t src = nf->header.src_shard;
-          if (nf->header.round != round || nf->header.dst_shard != shard_ ||
-              src >= K || have[src] != 0) {
-            throw FrameError("batch: wrong round, destination, or source");
-          }
-          PayloadReader br(nf->payload, "batch");
-          std::vector<deliver::StagedMessage>& in = incoming[src];
-          in.reserve(nf->header.count);
-          for (std::uint32_t i = 0; i < nf->header.count; ++i) {
-            deliver::StagedMessage be;
-            be.sender = br.u32();
-            be.dest = br.u32();
-            be.msg = decode_message(br);
-            if (be.dest < b || be.dest >= e) {
-              throw FrameError("batch: entry for non-owned destination");
-            }
-            in.push_back(be);
-          }
-          br.expect_end();
-          have[src] = 1;
-          ++got;
-          break;
-        }
-        case FrameKind::kAbort:
-          throw AbortRound{nf->header.round};
-        case FrameKind::kHeartbeat:
-          send_frame(FrameKind::kHeartbeat, nf->header.round, 0, 0, {});
-          break;
-        case FrameKind::kShutdown:
-          throw ShutdownRequested{};
-        default:
-          throw FrameError(std::string("ldc_shard: unexpected ") +
-                           frame_kind_name(nf->header.kind) +
-                           " frame inside a round");
-      }
-    }
-  } catch (const AbortRound&) {
-    send_frame(FrameKind::kAbort, round, 0, 0, {});  // abort ack
-    return;
-  }
-
-  // Phase B: fold the batch counts into the local counts, lay out the
-  // shard CSR, then fill in source-shard order.
-  for (const auto& batch : incoming) {
-    for (const deliver::StagedMessage& s : batch) ++counts[s.dest - b];
-  }
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(owned) + 1);
-  std::uint32_t total = 0;
-  for (NodeId lv = 0; lv < owned; ++lv) {
-    offsets[lv] = total;
-    total += counts[lv];
-  }
-  offsets[owned] = total;
-  std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  std::vector<MailSlot> slots(total);
-  deliver::source_order_fill(
-      rule, out.data(), b, e, K, shard_,
-      [&](std::size_t j) -> const auto& { return incoming[j]; },
-      [&](NodeId dest) -> MailSlot& { return slots[cursor[dest - b]++]; });
-
-  PayloadWriter w;
-  encode_summary(w, sum);
-  for (std::uint32_t off : offsets) w.u32(off);
-  for (const auto& [sender, msg] : slots) {
-    w.u32(sender);
-    encode_message(w, msg);
-  }
-  send_frame(FrameKind::kInbox, round, 0, total, w.take());
 }
 
 void ShardWorker::handle_bcast(const Frame& f) {

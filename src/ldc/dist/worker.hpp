@@ -1,15 +1,15 @@
 // The `ldc_shard` worker process: one shard of the distributed engine.
 //
 // A worker owns one contiguous vertex range of the coordinator's
-// partition and is the delivery plane for it — the in-process sharded
-// engine's phase A / phase B over the same delivery kernel
-// (runtime/deliver.hpp), with the per-(src, dst) batch buffers serialized
-// as kBatch frames instead of staged in shared memory. The worker is
-// deliberately stateless across rounds: everything a round needs
-// (outboxes, fault context, transmit masks, word values) arrives in the
-// round's frames, and every fault decision it resolves is a pure function
-// of (plan seed, round, edge) — which is the whole determinism argument
-// (DESIGN.md §12).
+// partition and is the delivery plane for its masked and faulty broadcast
+// and word rounds — the in-process sharded engine's receiver scan over
+// the same delivery kernel (runtime/deliver.hpp). Outbox rounds never
+// reach it: Network::exchange runs them on the caller's thread under
+// every engine. The worker is deliberately stateless across rounds:
+// everything a round needs (fault context, transmit masks, word values)
+// arrives in the round's frame, and every fault decision it resolves is a
+// pure function of (plan seed, round, edge) — which is the whole
+// determinism argument (DESIGN.md §12).
 //
 // I/O is plain blocking reads/writes: the coordinator end is fully
 // non-blocking and always drains, so a worker can never wedge the
@@ -36,25 +36,20 @@ class ShardWorker {
   ShardWorker(const ShardWorker&) = delete;
   ShardWorker& operator=(const ShardWorker&) = delete;
 
-  /// Sends HELLO, then serves coordinator frames until kShutdown (returns
-  /// 0) or a fatal protocol error (logs to stderr, returns 1). Algorithm
-  /// errors (non-neighbor delivery, strict CONGEST violations) are NOT
-  /// fatal: they travel back as kError frames and the worker keeps
-  /// serving rounds.
+  /// Sends HELLO, then serves coordinator frames — assign, bcast,
+  /// word_sparse, heartbeat — until kShutdown (returns 0) or a fatal
+  /// protocol error (logs to stderr, returns 1). No round it serves can
+  /// raise an algorithm error: the coordinator charges the CONGEST budget
+  /// before any frame is sent.
   int run();
 
  private:
   void send_frame(FrameKind kind, std::uint64_t round, std::uint32_t dst,
                   std::uint32_t count, std::string_view payload);
-  void send_error(std::uint64_t round, std::uint32_t code, const char* what);
 
   void handle_assign(const Frame& f);
-  void handle_outbox(const Frame& f);
   void handle_bcast(const Frame& f);
   void handle_word_sparse(const Frame& f);
-
-  /// Shard owning global vertex v (binary search over starts_).
-  std::size_t shard_of(NodeId v) const;
 
   std::shared_ptr<const storage::MappedGraph> mg_;
   int fd_;
@@ -66,10 +61,7 @@ class ShardWorker {
   std::uint32_t shards_ = 0;
   std::size_t budget_bits_ = 0;
   bool strict_ = false;
-  std::vector<NodeId> starts_;  ///< K+1 partition boundaries
   ShardTopology topo_;
-
-  std::vector<NodeId> scratch_;  ///< duplicate-destination check
 };
 
 }  // namespace ldc::dist

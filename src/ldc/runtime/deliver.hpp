@@ -15,8 +15,9 @@
 // rounds against explicit outboxes, which only checks something while the
 // two share no code path.
 //  * Sender-driven (exchange): outbox_pass walks senders in ascending
-//    order, charging and counting survivors; own_fill writes them, and
-//    source_order_fill adds the sharded engines' staged batches.
+//    order, charging and counting survivors; own_fill writes them. Both
+//    run on the caller's thread under every engine (network.hpp): no
+//    algorithm sends outbox rounds, so they get no multi-lane body.
 //  * Receiver-driven (broadcast, fused word): broadcast_senders charges
 //    the senders in bulk; survivor_offsets and survivor_fill walk each
 //    receiver's sorted adjacency.
@@ -65,7 +66,6 @@ inline std::uint64_t now_ns() {
 
 /// One range's share of a round: CONGEST accounting, fault events, and
 /// the traffic that crossed the range boundary (sharded engines only).
-/// The field order is the dist wire's per-shard summary (wire.hpp).
 struct RoundTally {
   std::uint64_t messages = 0;
   std::uint64_t total_bits = 0;
@@ -91,10 +91,11 @@ struct RoundTally {
     traffic_bits += o.traffic_bits;
   }
 
-  /// Counts a message of `bits` bits from u as cut traffic when u lies
-  /// outside the receiving range [b, e).
-  void cut(NodeId u, NodeId b, NodeId e, std::uint64_t bits) {
-    if (u < b || u >= e) {
+  /// Counts a message of `bits` bits as cut traffic when its far end x —
+  /// the sender for a receiving range, the destination for a sending one
+  /// — lies outside the range [b, e).
+  void cut(NodeId x, NodeId b, NodeId e, std::uint64_t bits) {
+    if (x < b || x >= e) {
       ++traffic_messages;
       traffic_bits += bits;
     }
@@ -170,13 +171,6 @@ struct Rule {
 /// The rule as the in-process engines hold it.
 using ByteRule = Rule<ByteFlags>;
 
-/// A survivor staged by one range's outbox_pass for another range.
-struct StagedMessage {
-  NodeId sender;
-  NodeId dest;
-  Message msg;
-};
-
 // ------------------------------------------------------ the round frame --
 
 /// A round between its prologue and its epilogue.
@@ -222,11 +216,10 @@ inline void check_unique_destinations(const Outbox& outbox,
   }
 }
 
-template <bool kFaulty, class Down, class Local, class Remote>
+template <bool kFaulty, class Down, class Survivor>
 void outbox_pass(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
-                 NodeId lo, NodeId hi, RoundTally& t,
-                 std::vector<NodeId>& scratch, Local& local,
-                 Remote& remote) {
+                 RoundTally& t, std::vector<NodeId>& scratch,
+                 Survivor& survivor) {
   for (NodeId u = b; u < e; ++u) {
     const Outbox& outbox = out[u - b];
     check_unique_destinations(outbox, scratch);
@@ -239,11 +232,8 @@ void outbox_pass(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
       if (sender_down) continue;  // suppressed: never transmitted
       const std::size_t bits = msg.bit_count();
       charge(t, r.budget, bits, 1);
-      const bool remote_dest = dest < lo || dest >= hi;
-      if (remote_dest) {  // cut traffic is paid even if the edge drops it
-        ++t.traffic_messages;
-        t.traffic_bits += bits;
-      }
+      // Cut traffic is paid even if the edge drops it.
+      t.cut(dest, b, e, bits);
       if constexpr (kFaulty) {
         if (r.lost(u, dest, r.down(dest))) {
           ++t.dropped;
@@ -251,22 +241,17 @@ void outbox_pass(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
         }
         if (r.corrupts(u, dest)) ++t.corrupted;
       }
-      if (remote_dest) {
-        remote(u, dest, msg);
-      } else {
-        local(dest);
-      }
+      survivor(dest);
     }
   }
 }
 
 template <bool kFaulty, class Down, class SlotFor>
-void own_fill(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
-              NodeId lo, NodeId hi, SlotFor& slot_for) {
-  for (NodeId u = b; u < e; ++u) {
+void own_fill(const Rule<Down>& r, const Outbox* out, NodeId n,
+              SlotFor& slot_for) {
+  for (NodeId u = 0; u < n; ++u) {
     if (kFaulty && r.down(u)) continue;
-    for (const auto& [dest, msg] : out[u - b]) {
-      if (dest < lo || dest >= hi) continue;
+    for (const auto& [dest, msg] : out[u]) {
       if constexpr (kFaulty) {
         if (r.lost(u, dest, r.down(dest))) continue;
       }
@@ -281,57 +266,32 @@ void own_fill(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
 /// sender u's outbox. Per sender: the duplicate-destination check, before
 /// any of its messages is looked at. Per message: the neighbour check
 /// (contract violations throw even from a down sender), the CONGEST charge
-/// (a down sender transmits nothing and pays nothing), and the edge's
-/// fate. A survivor addressed into [lo, hi) goes to local(dest); any other
-/// to remote(u, dest, msg), after being counted as cut traffic — before
-/// the drop, since the sender paid for it. Throws surface at the first
-/// offending sender and message in node order.
-template <class Down, class Local, class Remote>
+/// (a down sender transmits nothing and pays nothing), the cut count of a
+/// destination outside [b, e) — before the drop, since the sender paid for
+/// it — and the edge's fate; survivor(dest) is called per survivor. Throws
+/// surface at the first offending sender and message in node order.
+template <class Down, class Survivor>
 void outbox_pass(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
-                 NodeId lo, NodeId hi, RoundTally& t,
-                 std::vector<NodeId>& scratch, Local&& local,
-                 Remote&& remote) {
+                 RoundTally& t, std::vector<NodeId>& scratch,
+                 Survivor&& survivor) {
   if (r.plan != nullptr) {
-    detail::outbox_pass<true>(r, out, b, e, lo, hi, t, scratch, local,
-                              remote);
+    detail::outbox_pass<true>(r, out, b, e, t, scratch, survivor);
   } else {
-    detail::outbox_pass<false>(r, out, b, e, lo, hi, t, scratch, local,
-                               remote);
+    detail::outbox_pass<false>(r, out, b, e, t, scratch, survivor);
   }
 }
 
-/// The write pass matching outbox_pass: re-walks senders [b, e) and writes
-/// each survivor addressed into [lo, hi) — re-resolving the pure fates
+/// The write pass matching outbox_pass: re-walks all n senders in
+/// ascending order and writes each survivor — re-resolving the pure fates
 /// outbox_pass counted — at slot_for(dest), the slot the next survivor
-/// into dest goes to.
+/// into dest goes to. Ascending senders give ascending inboxes.
 template <class Down, class SlotFor>
-void own_fill(const Rule<Down>& r, const Outbox* out, NodeId b, NodeId e,
-              NodeId lo, NodeId hi, SlotFor&& slot_for) {
+void own_fill(const Rule<Down>& r, const Outbox* out, NodeId n,
+              SlotFor&& slot_for) {
   if (r.plan != nullptr) {
-    detail::own_fill<true>(r, out, b, e, lo, hi, slot_for);
+    detail::own_fill<true>(r, out, n, slot_for);
   } else {
-    detail::own_fill<false>(r, out, b, e, lo, hi, slot_for);
-  }
-}
-
-/// The write pass of range k of K contiguous ascending ranges, [b, e)
-/// being both its senders and its destinations: its inboxes receive from
-/// source ranges j = 0..K-1 in ascending order — its own senders inline
-/// at j == k, every other range's staged survivors batch_of(j) in staging
-/// order. That is the serial sender order per inbox.
-template <class Down, class BatchOf, class SlotFor>
-void source_order_fill(const Rule<Down>& r, const Outbox* out, NodeId b,
-                       NodeId e, std::size_t K, std::size_t k,
-                       BatchOf&& batch_of, SlotFor&& slot_for) {
-  for (std::size_t j = 0; j < K; ++j) {
-    if (j == k) {
-      own_fill(r, out, b, e, b, e, slot_for);
-      continue;
-    }
-    for (const StagedMessage& s : batch_of(j)) {
-      r.put(slot_for(s.dest), s.sender, s.dest, s.msg,
-            r.plan != nullptr && r.corrupts(s.sender, s.dest));
-    }
+    detail::own_fill<false>(r, out, n, slot_for);
   }
 }
 

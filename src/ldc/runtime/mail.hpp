@@ -15,17 +15,15 @@
 //
 // Delivery order contract: within one inbox, slots are in strictly
 // ascending sender order (each sender may send at most one message per
-// destination per round). All engines produce this order by construction —
-// the serial engine walks senders ascending, the parallel engine's chunks
-// are contiguous ascending sender ranges written in chunk order, and the
-// sharded engine fills each destination by walking source shards in
-// ascending shard order (shards own contiguous ascending vertex ranges) —
-// which is what lets the plane skip the per-inbox sort entirely (a
-// debug-build assertion keeps the invariant honest).
+// destination per round). Every round shape produces this order by
+// construction — exchange() walks senders ascending, and the broadcast
+// fills walk each receiver's sorted adjacency — which is what lets the
+// plane skip the per-inbox sort entirely (a debug-build assertion keeps
+// the invariant honest).
 //
-// Under Engine::kSharded there is one MailArena per shard, indexed by
-// *local* destination id, and the views carry a ShardMap that routes a
-// global destination to its shard's arena. Freshness is still checked
+// Under Engine::kSharded the broadcast shapes fill one MailArena per
+// shard, indexed by *local* destination id, and their views carry a
+// ShardMap that routes a global destination to its shard's arena. Freshness is still checked
 // against the master (Network-owned) arena's epoch, which keeps advancing
 // once per round regardless of engine.
 #pragma once
@@ -73,8 +71,7 @@ class MailArena {
 
   /// Per-destination counting scratch, epoch-stamped: an entry whose stamp
   /// is not the current epoch reads as zero, so sparse rounds never pay a
-  /// dense O(n) clear (the fix for the per-round `counts.assign(n, 0)` the
-  /// sharded engine used to do on every lane).
+  /// dense O(n) clear.
   struct Lane {
     std::vector<std::uint32_t> counts;
     std::vector<std::uint64_t> stamp;
@@ -101,24 +98,23 @@ class MailArena {
     }
   };
 
-  Lane& lane(std::size_t i, std::size_t n) {
-    if (lanes_.size() <= i) lanes_.resize(i + 1);
-    lanes_[i].ensure(n);
-    return lanes_[i];
+  Lane& lane(std::size_t n) {
+    lane_.ensure(n);
+    return lane_;
   }
 
-  /// Lays out offsets_ for destinations [0, count) from `lane`'s counts
+  /// Lays out offsets_ for destinations [0, count) from lane_'s counts
   /// of epoch `ep`, turns the lane entries into absolute write cursors, and
   /// sizes slots_ to the total.
-  void lay_out(Lane& lane, NodeId count, std::uint64_t ep) {
+  void lay_out(NodeId count, std::uint64_t ep) {
     if (offsets_.size() < static_cast<std::size_t>(count) + 1) {
       offsets_.resize(static_cast<std::size_t>(count) + 1);
     }
     std::uint32_t total = 0;
     for (NodeId v = 0; v < count; ++v) {
       offsets_[v] = total;
-      const std::uint32_t c = lane.at(v, ep);
-      lane.set(v, ep, total);
+      const std::uint32_t c = lane_.at(v, ep);
+      lane_.set(v, ep, total);
       total += c;
     }
     offsets_[count] = total;
@@ -131,10 +127,9 @@ class MailArena {
   std::vector<WordSlot> word_slots_;    ///< fused sparse mode: CSR slots
   std::vector<std::uint64_t> ghost_words_;  ///< sharded dense: halo snapshot
   std::uint64_t epoch_ = 0;
-  std::vector<Lane> lanes_;             ///< lane 0: serial; else per chunk
+  Lane lane_;                           ///< exchange: survivors per dest
   std::vector<char> transmits_;         ///< broadcast: sender is live
-  std::vector<NodeId> scratch_;             ///< duplicate-destination check
-  std::vector<std::uint32_t> chunk_total_;  ///< parallel prefix partials
+  std::vector<NodeId> scratch_;         ///< duplicate-destination check
 };
 
 /// Internal routing tables for Engine::kSharded views (built by the

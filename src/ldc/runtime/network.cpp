@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <span>
 #include <string>
 
 #include "ldc/support/math.hpp"
@@ -96,133 +97,15 @@ void Network::prepare_round_faults(std::uint64_t round, RoundFaults& rf) {
   metrics_.node_sleeps += rf.sleeps;
 }
 
-void Network::exchange_serial(const std::vector<Outbox>& outboxes,
-                              const deliver::ByteRule& rule,
-                              deliver::RoundTally& t) {
-  const auto n = graph_->n();
-  MailArena& a = arena_;
-  const std::uint64_t ep = a.epoch_;
-  auto& lane = a.lane(0, n);
-  // Pass 1 counts survivors per destination; pass 2 writes them at their
-  // destination's cursor, ascending senders giving ascending inboxes. On
-  // a throw the half-filled arena is never exposed: the prologue already
-  // bumped the epoch, so no live view reads it.
-  deliver::outbox_pass(
-      rule, outboxes.data(), 0, n, 0, n, t, a.scratch_,
-      [&](NodeId dest) { lane.add_one(dest, ep); },
-      [](NodeId, NodeId, const Message&) {});
-  a.lay_out(lane, n, ep);
-  deliver::own_fill(rule, outboxes.data(), 0, n, 0, n,
-                    [&](NodeId dest) -> MailSlot& {
-                      return a.slots_[lane.counts[dest]++];
-                    });
-}
-
-void Network::exchange_parallel(const std::vector<Outbox>& outboxes,
-                                const deliver::ByteRule& rule,
-                                deliver::RoundTally& t) {
-  const auto n = graph_->n();
-  MailArena& a = arena_;
-  const std::uint64_t ep = a.epoch_;
-  // Per-chunk tallies and per-destination count lanes. Chunks are
-  // contiguous ascending sender ranges, so concatenating them in chunk
-  // order reproduces the serial sender order exactly. Lanes persist in
-  // the arena and are epoch-stamped: entries from earlier rounds read as
-  // zero, so no O(n·lanes) clearing happens per round.
-  const std::size_t lanes = std::min<std::size_t>(pool_->size(), n);
-  std::vector<deliver::RoundTally> tallies(lanes);
-  for (std::size_t c = 0; c < lanes; ++c) a.lane(c, n);
-
-  // Pass 1 (by sender): the kernel's sender pass per chunk. Exception
-  // order matches serial: parallel_for rethrows the lowest chunk = lowest
-  // sender, and the exception texts are position-independent.
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
-    MailArena::Lane& lane = a.lanes_[c];
-    std::vector<NodeId> scratch;
-    deliver::outbox_pass(
-        rule, outboxes.data() + b, static_cast<NodeId>(b),
-        static_cast<NodeId>(e), 0, n, tallies[c], scratch,
-        [&](NodeId dest) { lane.add_one(dest, ep); },
-        [](NodeId, NodeId, const Message&) {});
-  });
-
-  // Pass 2 (by destination): global CSR offsets from the per-lane counts.
-  // 2a computes per-chunk slot totals, a serial scan over the (few) chunks
-  // assigns chunk base offsets, then 2b lays out each destination's span
-  // and turns the lane entries into absolute write cursors, lane by lane
-  // — so lane order within an inbox equals ascending sender order.
-  if (a.chunk_total_.size() < lanes) a.chunk_total_.resize(lanes);
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
-    std::uint32_t sum = 0;
-    for (std::size_t dest = b; dest < e; ++dest) {
-      for (std::size_t l = 0; l < lanes; ++l) {
-        sum += a.lanes_[l].at(static_cast<NodeId>(dest), ep);
-      }
-    }
-    a.chunk_total_[c] = sum;
-  });
-  // parallel_for(n, ...) splits [0, n) the same way on every call with the
-  // same pool, so chunk c in 2b covers exactly the range summed in 2a.
-  std::uint32_t total = 0;
-  for (std::size_t c = 0; c < lanes; ++c) {
-    const std::uint32_t sum = a.chunk_total_[c];
-    a.chunk_total_[c] = total;
-    total += sum;
-  }
-  if (a.offsets_.size() < n + 1) a.offsets_.resize(n + 1);
-  a.offsets_[n] = total;
-  if (a.slots_.size() != total) a.slots_.resize(total);
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
-    std::uint32_t cur = a.chunk_total_[c];
-    for (std::size_t dest = b; dest < e; ++dest) {
-      a.offsets_[dest] = cur;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        MailArena::Lane& lane = a.lanes_[l];
-        const std::uint32_t count = lane.at(static_cast<NodeId>(dest), ep);
-        lane.set(static_cast<NodeId>(dest), ep, cur);
-        cur += count;
-      }
-    }
-  });
-
-  // Pass 3 (by sender, same chunking): write survivors at the chunk's
-  // cursors — disjoint slots, and slot order equals serial insert order.
-  pool_->parallel_for(n, [&](std::size_t b, std::size_t e, std::size_t c) {
-    MailArena::Lane& lane = a.lanes_[c];
-    deliver::own_fill(rule, outboxes.data() + b, static_cast<NodeId>(b),
-                      static_cast<NodeId>(e), 0, n,
-                      [&](NodeId dest) -> MailSlot& {
-                        return a.slots_[lane.counts[dest]++];
-                      });
-  });
-
-  for (const deliver::RoundTally& chunk : tallies) t.merge(chunk);
-}
-
-void Network::debug_check_sorted() const {
+void Network::debug_check_sorted([[maybe_unused]] const MailArena& a,
+                                 [[maybe_unused]] NodeId count) {
 #ifndef NDEBUG
-  // The ascending-sender invariant that replaced the per-inbox sort: the
-  // serial engine walks senders in order, the parallel engine's chunks are
-  // contiguous ascending ranges merged in chunk order, the sharded engine
-  // fills each inbox walking source shards ascending, and the broadcast
-  // fill follows the graph's sorted adjacency.
-  if (shards_ != nullptr) {
-    for (const auto& st : shards_->states_) {
-      const MailArena& a = st->arena;
-      for (NodeId lv = 0; lv < st->topo.owned(); ++lv) {
-        for (std::uint32_t i = a.offsets_[lv] + 1; i < a.offsets_[lv + 1];
-             ++i) {
-          assert(a.slots_[i - 1].first < a.slots_[i].first &&
-                 "sharded inbox not in ascending sender order");
-        }
-      }
-    }
-    return;
-  }
-  for (NodeId v = 0; v < graph_->n(); ++v) {
-    for (std::uint32_t i = arena_.offsets_[v] + 1; i < arena_.offsets_[v + 1];
-         ++i) {
-      assert(arena_.slots_[i - 1].first < arena_.slots_[i].first &&
+  // The ascending-sender invariant that replaced the per-inbox sort:
+  // exchange() walks senders in order, and the broadcast fills follow the
+  // graph's sorted adjacency.
+  for (NodeId v = 0; v < count; ++v) {
+    for (std::uint32_t i = a.offsets_[v] + 1; i < a.offsets_[v + 1]; ++i) {
+      assert(a.slots_[i - 1].first < a.slots_[i].first &&
              "inbox not in ascending sender order");
     }
   }
@@ -252,30 +135,57 @@ void Network::finish_round(deliver::RoundOpen& r) {
 }
 
 RoundMail Network::seal_round(deliver::RoundOpen& r) {
-  debug_check_sorted();
-  finish_round(r);
+  const auto n = graph_->n();
   if (shards_ != nullptr) {
-    return RoundMail(&arena_, &shards_->map_, graph_->n());
+    for (const auto& st : shards_->states_) {
+      debug_check_sorted(st->arena, st->topo.owned());
+    }
+    finish_round(r);
+    return RoundMail(&arena_, &shards_->map_, n);
   }
-  return RoundMail(&arena_, graph_->n());
+  debug_check_sorted(arena_, n);
+  finish_round(r);
+  return RoundMail(&arena_, n);
 }
 
 RoundMail Network::exchange(const std::vector<Outbox>& outboxes) {
-  if (outboxes.size() != graph_->n()) {
+  const auto n = graph_->n();
+  if (outboxes.size() != n) {
     throw std::invalid_argument("Network::exchange: outbox count != n");
   }
   deliver::RoundOpen r = begin_round();
   const deliver::ByteRule rl = rule(r.index);
-  if (dist_ != nullptr) {
-    dist_->exchange_dist(*this, outboxes, rl, r.tally);
-  } else if (shards_ != nullptr) {
-    exchange_sharded(outboxes, rl, r.tally);
-  } else if (pool_ != nullptr && pool_->size() > 1) {
-    exchange_parallel(outboxes, rl, r.tally);
-  } else {
-    exchange_serial(outboxes, rl, r.tally);
+  MailArena& a = arena_;
+  const std::uint64_t ep = a.epoch_;
+  auto& lane = a.lane(n);
+  // Pass 1 counts survivors per destination, once per range of the
+  // engine's partition so its cut traffic is counted against the same
+  // ranges the broadcast shapes use; pass 2 writes the survivors at their
+  // destination's cursor, ascending senders giving ascending inboxes. On a
+  // throw the half-filled arena is never exposed: the prologue already
+  // bumped the epoch, so no live view reads it.
+  const NodeId whole[] = {0, n};
+  std::span<const NodeId> starts = whole;
+  if (dist_ != nullptr) starts = dist_->starts();
+  if (shards_ != nullptr) starts = shards_->partition().starts();
+  for (std::size_t k = 0; k + 1 < starts.size(); ++k) {
+    const NodeId b = starts[k];
+    deliver::outbox_pass(rl, outboxes.data() + b, b, starts[k + 1], r.tally,
+                         a.scratch_,
+                         [&](NodeId dest) { lane.add_one(dest, ep); });
   }
-  return seal_round(r);
+  a.lay_out(n, ep);
+  deliver::own_fill(rl, outboxes.data(), n, [&](NodeId dest) -> MailSlot& {
+    return a.slots_[lane.counts[dest]++];
+  });
+  if (dist_ != nullptr) {
+    dist_->add_traffic(r.tally);
+  } else if (shards_ != nullptr) {
+    shards_->add_traffic(r.tally);
+  }
+  debug_check_sorted(a, n);
+  finish_round(r);
+  return RoundMail(&arena_, n);
 }
 
 void Network::broadcast_fill(const std::vector<Message>& msgs,

@@ -19,32 +19,36 @@
 // drop/corrupt/deliver) is decided in exactly one place, the delivery
 // kernel in deliver.hpp; the engines only split the vertex set into
 // ranges, run the kernel over each, and merge the per-range tallies in
-// ascending range order (sums and maxes, so boundaries never show):
+// ascending range order (sums and maxes, so boundaries never show).
+//
+// The engines differ only in the two broadcast shapes and in
+// run_node_programs(). exchange() — the per-edge outbox shape — runs one
+// body on the caller's thread under every engine: the kernel's sender
+// pass and write pass into this Network's own arena. No algorithm sends
+// outbox rounds (they all broadcast), so a multi-lane outbox body would
+// be code no workload runs.
 //
 //  * kSerial (default, and the reference): one range, [0, n).
-//  * kParallel: contiguous ascending sender chunks on a ThreadPool, each
-//    counting into its own epoch-stamped lane of one shared arena. Chunks
-//    are written in chunk order, so every inbox is in ascending sender
-//    order, independent of thread count and schedule. Per-node compute
-//    runs through run_node_programs(), which fans node callbacks out over
-//    the same pool (callbacks must only write state owned by their node).
+//  * kParallel: contiguous ascending receiver chunks on a ThreadPool fill
+//    disjoint inbox spans of one shared arena. Per-node compute runs
+//    through run_node_programs(), which fans node callbacks out over the
+//    same pool (callbacks must only write state owned by their node).
 //  * kSharded: the graph is partitioned into K contiguous vertex ranges;
 //    each shard owns its range plus a read-only ghost halo, holds its own
 //    MailArena, and runs on its own dedicated worker (fixed worker↔shard
 //    binding, first-touch NUMA placement, optional LDC_PIN=1 core
-//    pinning). Cross-shard survivors are staged in per-(src, dst) batches
-//    and folded in at the barrier, walking source shards in ascending
-//    order — the serial sender order (DESIGN.md §11, shard.hpp).
-//    Cross-shard traffic is observable via cross_shard_traffic(); it is
-//    deliberately NOT part of RunMetrics, so metrics and digests stay
-//    engine-independent.
-//  * kDist: the sharded protocol across process boundaries — each shard
-//    lives in its own worker process (`ldc_shard`) running the same
-//    kernel, and the batches travel as length-prefixed, digest-sealed
-//    frames over sockets. The coordinator side is a DistBackend
-//    (src/ldc/dist/coordinator.hpp) attached via attach_dist(); the
-//    determinism contract is identical (DESIGN.md §12), and
-//    cross_shard_traffic() reports the same logical counters the
+//    pinning). Each shard scans its own receivers (DESIGN.md §11,
+//    shard.hpp). Cross-shard traffic is observable via
+//    cross_shard_traffic() — for exchange() it is counted by the sender
+//    pass, run once per shard range; it is deliberately NOT part of
+//    RunMetrics, so metrics and digests stay engine-independent.
+//  * kDist: the broadcast shapes' masked and faulty rounds across process
+//    boundaries — each shard lives in its own worker process
+//    (`ldc_shard`) running the same receiver scan, with length-prefixed,
+//    digest-sealed frames over sockets. The coordinator side is a
+//    DistBackend (src/ldc/dist/coordinator.hpp) attached via
+//    attach_dist(); the determinism contract is identical (DESIGN.md §12),
+//    and cross_shard_traffic() reports the same logical counters the
 //    in-process sharded engine would.
 //
 // Thread count: an explicit set_engine() parameter, else the LDC_THREADS
@@ -145,13 +149,13 @@ class Network {
   /// the next exchange()/exchange_broadcast() on this Network (stale access
   /// throws std::logic_error; call RoundMail::materialize() to keep
   /// deliveries across rounds). Destinations must be neighbors of the
-  /// sender and unique per round; both engines enforce both preconditions
-  /// with std::invalid_argument (duplicate destinations are checked per
-  /// sender before that sender's messages are validated or delivered, so
-  /// serial and parallel runs surface the same error). Uniqueness makes
-  /// inbox order total — at most one message per sender per inbox — and
-  /// both engines deliver in ascending sender order by construction, so no
-  /// sort runs (a debug-build assertion guards the invariant).
+  /// sender and unique per round; both preconditions throw
+  /// std::invalid_argument (duplicate destinations are checked per sender
+  /// before that sender's messages are validated or delivered). Uniqueness
+  /// makes inbox order total — at most one message per sender per inbox —
+  /// and senders are walked in ascending order, so no sort runs (a
+  /// debug-build assertion guards the invariant). Runs on the caller's
+  /// thread under every engine.
   RoundMail exchange(const std::vector<Outbox>& outboxes);
 
   /// Convenience: every node with active[v] (or all nodes if active is
@@ -328,17 +332,9 @@ class Network {
                              deliver::ByteFlags{down_.data()}, round};
   }
 
-  /// Engine bodies: fill the arena(s) for this round and merge the
-  /// per-range tallies into `t` in ascending range order. The sharded
-  /// trio is defined in shard.cpp.
-  void exchange_serial(const std::vector<Outbox>& outboxes,
-                       const deliver::ByteRule& rule, deliver::RoundTally& t);
-  void exchange_parallel(const std::vector<Outbox>& outboxes,
-                         const deliver::ByteRule& rule,
-                         deliver::RoundTally& t);
-  void exchange_sharded(const std::vector<Outbox>& outboxes,
-                        const deliver::ByteRule& rule,
-                        deliver::RoundTally& t);
+  /// Broadcast-shape engine bodies: fill the arena(s) for this round and
+  /// merge the per-range tallies into `t` in ascending range order. The
+  /// sharded pair is defined in shard.cpp.
   void broadcast_fill(const std::vector<Message>& msgs,
                       const deliver::ByteRule& rule, bool all_live,
                       deliver::RoundTally& t);
@@ -351,19 +347,21 @@ class Network {
   /// Shared round epilogue: commits the tally to metrics, then the wall
   /// clock and the trace row. Used by the Message and fused word planes.
   void finish_round(deliver::RoundOpen& r);
-  /// Message-plane epilogue: order check + finish_round + arena view.
+  /// Broadcast-plane epilogue: order check + finish_round + arena view
+  /// (per-shard arenas under kSharded).
   RoundMail seal_round(deliver::RoundOpen& r);
   /// Debug-build check of the ascending-sender invariant that replaced the
-  /// per-inbox sort.
-  void debug_check_sorted() const;
+  /// per-inbox sort, over destinations [0, count) of `a`.
+  static void debug_check_sorted(const MailArena& a, NodeId count);
 };
 
 /// Interface of the multi-process distributed engine (implemented by
 /// dist::Coordinator in src/ldc/dist/). The runtime stays free of any
-/// socket or process code: Network only dispatches the three round
-/// shapes to the attached backend, which must fill the master arena with
-/// the exact bytes the in-process engines would (the equivalence suites
-/// in tests/test_dist.cpp enforce this).
+/// socket or process code: Network dispatches the two broadcast shapes
+/// to the attached backend, which must fill the master arena with the
+/// exact bytes the in-process engines would (the equivalence suites in
+/// tests/test_dist.cpp enforce this). exchange() runs in the Network
+/// itself and only reports its cut traffic to the backend.
 ///
 /// Access to Network/MailArena internals is funneled through the
 /// protected attorney accessors below, so implementations in other
@@ -387,13 +385,15 @@ class DistBackend {
   /// assign handshake. Throwing here leaves the Network unchanged.
   virtual void bind(Network& net) = 0;
 
-  /// Engine bodies, mirroring Network's *_sharded trio: fill the master
+  /// The K+1 ascending boundaries of the worker ranges, fixed at bind().
+  virtual const std::vector<NodeId>& starts() const = 0;
+  /// Adds the cut traffic of a round Network ran itself (exchange(),
+  /// counted per worker range) to traffic().
+  virtual void add_traffic(const deliver::RoundTally& t) = 0;
+
+  /// Engine bodies, mirroring Network's *_sharded pair: fill the master
   /// arena (offsets + slots / words) for this round, applying `rule`, and
   /// merge the per-shard tallies into `t` in ascending shard order.
-  virtual void exchange_dist(Network& net,
-                             const std::vector<Network::Outbox>& outboxes,
-                             const deliver::ByteRule& rule,
-                             deliver::RoundTally& t) = 0;
   virtual void broadcast_fill_dist(Network& net,
                                    const std::vector<Message>& msgs,
                                    const deliver::ByteRule& rule,

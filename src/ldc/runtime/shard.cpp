@@ -1,14 +1,11 @@
 // ShardCrew / ShardSet and the Engine::kSharded round bodies.
 //
-// Each body runs the delivery kernel (deliver.hpp) once per shard range on
-// the shard's own worker, writing only shard-owned pages: for exchange,
-// phase A is deliver::outbox_pass over the shard's senders, staging
-// cross-shard survivors in (src, dst) batches, and phase B — after the
-// crew barrier — is deliver::source_order_fill, which walks source shards
-// in ascending order. Shards own contiguous ascending vertex ranges, so
-// that walk IS the serial sender order and inbox bytes, metrics, trace
-// rows and fault decisions are byte-identical to kSerial/kParallel.
-// Broadcast and word rounds are the kernel's receiver scan per shard.
+// Each body runs the delivery kernel's receiver scan (deliver.hpp) once
+// per shard range on the shard's own worker, writing only shard-owned
+// pages. Each receiver's inbox follows its sorted adjacency, so inbox
+// bytes, metrics, trace rows and fault decisions are byte-identical to
+// kSerial/kParallel. Outbox rounds have no body here: Network::exchange
+// runs them serially for every engine.
 #include "ldc/runtime/shard.hpp"
 
 #include <algorithm>
@@ -128,13 +125,12 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards, bool pin)
       states_(part_.shards()),
       crew_(part_.shards(), pin) {
   const std::size_t k = states_.size();
-  // Build each shard's state on its own worker so the topology, arena,
-  // and batch buffers are allocated and touched by the thread that owns
-  // them (first-touch NUMA placement).
+  // Build each shard's state on its own worker so the topology and arena
+  // are allocated and touched by the thread that owns them (first-touch
+  // NUMA placement).
   crew_.run([&](std::size_t i) {
     auto st = std::make_unique<ShardState>();
     st->topo.build(g, part_.begin(i), part_.end(i));
-    st->outgoing.resize(k);
     states_[i] = std::move(st);
   });
   views_.resize(k);
@@ -150,62 +146,11 @@ ShardSet::ShardSet(const Graph& g, std::size_t shards, bool pin)
 void ShardSet::fold(deliver::RoundTally& t) {
   for (const auto& st : states_) {
     t.merge(st->tally);
-    total_traffic_.messages += st->tally.traffic_messages;
-    total_traffic_.bits += st->tally.traffic_bits;
+    add_traffic(st->tally);
   }
 }
 
 // -------------------------------------------------- Network round bodies --
-
-void Network::exchange_sharded(const std::vector<Outbox>& outboxes,
-                               const deliver::ByteRule& rule,
-                               deliver::RoundTally& t) {
-  ShardSet& S = *shards_;
-  const std::size_t K = S.size();
-  const std::uint64_t ep = arena_.epoch_;
-
-  // Phase A (by source shard): count local survivors per local
-  // destination, stage cross-shard ones in the (src, dst) batch — nothing
-  // touches another shard's arena before the barrier. Throws surface from
-  // the lowest shard = lowest sender.
-  S.crew_.run([&](std::size_t k) {
-    ShardState& st = *S.states_[k];
-    const NodeId b = st.topo.vbegin;
-    const NodeId e = st.topo.vend;
-    st.tally = deliver::RoundTally{};
-    for (auto& batch : st.outgoing) batch.clear();
-    MailArena::Lane& lane = st.arena.lane(0, st.topo.owned());
-    deliver::outbox_pass(
-        rule, outboxes.data() + b, b, e, b, e, st.tally, st.scratch,
-        [&](NodeId dest) { lane.add_one(dest - b, ep); },
-        [&](NodeId u, NodeId dest, const Message& msg) {
-          st.outgoing[S.part_.shard_of(dest)].push_back({u, dest, msg});
-        });
-  });
-
-  // Phase B (by destination shard): fold the batch counts into the local
-  // lane, lay out the shard's CSR, then fill in source-shard order.
-  S.crew_.run([&](std::size_t k) {
-    ShardState& st = *S.states_[k];
-    MailArena& a = st.arena;
-    const NodeId b = st.topo.vbegin;
-    MailArena::Lane& lane = a.lanes_[0];
-    for (std::size_t j = 0; j < K; ++j) {
-      if (j == k) continue;
-      for (const auto& s : S.states_[j]->outgoing[k]) {
-        lane.add_one(s.dest - b, ep);
-      }
-    }
-    a.lay_out(lane, st.topo.owned(), ep);
-    deliver::source_order_fill(
-        rule, outboxes.data() + b, b, st.topo.vend, K, k,
-        [&](std::size_t j) -> const auto& { return S.states_[j]->outgoing[k]; },
-        [&](NodeId dest) -> MailSlot& {
-          return a.slots_[lane.counts[dest - b]++];
-        });
-  });
-  S.fold(t);
-}
 
 void Network::broadcast_fill_sharded(const std::vector<Message>& msgs,
                                      const deliver::ByteRule& rule,

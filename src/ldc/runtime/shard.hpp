@@ -10,16 +10,15 @@
 // touched by the thread that will keep reading them (optionally pinned to
 // a core via LDC_PIN=1).
 //
-// Cross-shard messages never touch another shard's arena mid-round: phase
-// A stages each one in a per-(src shard, dst shard) batch buffer, and
-// after the barrier phase B folds the batches in at the destination — K²
-// bulk appends per round instead of per-edge contention. Determinism falls
-// out of contiguity: destination shard k fills each inbox by walking
-// source shards in ascending order (its own range inline at j == k), and
-// since shard ranges are contiguous and ascending, that IS the serial
-// sender order. The engine bodies live in shard.cpp as Network member
-// functions that run the delivery kernel (deliver.hpp) per shard range;
-// see DESIGN.md §11 for the full memory-model and determinism argument.
+// The engine bodies are the two broadcast shapes, which are
+// receiver-driven: shard k scans its own receivers' sorted adjacency and
+// writes only its own arena, so no shard touches another's pages and no
+// cross-shard staging exists. Outbox rounds (Network::exchange) run one
+// serial body on the caller's thread under every engine — no algorithm
+// sends them — with the sender pass split at the shard boundaries only to
+// count the cut. The bodies live in shard.cpp as Network member functions
+// that run the delivery kernel (deliver.hpp) per shard range; see
+// DESIGN.md §11 for the memory-model and determinism argument.
 #pragma once
 
 #include <condition_variable>
@@ -98,16 +97,13 @@ class ShardCrew {
 };
 
 /// Everything shard k owns: its topology (owned range + ghost halo +
-/// local CSR), its delivery arena (local destination ids), its share of
-/// the round (merged on the coordinator in shard order), and the outgoing
-/// batch buffers. Allocated and first-touched by worker k.
+/// local CSR), its delivery arena (local destination ids), and its share
+/// of the round (merged in shard order). Allocated and first-touched by
+/// worker k.
 struct ShardState {
   ShardTopology topo;
   MailArena arena;
   deliver::RoundTally tally;
-
-  std::vector<std::vector<deliver::StagedMessage>> outgoing;  ///< [dst]
-  std::vector<NodeId> scratch;  ///< duplicate-destination check
 };
 
 /// The Network-owned bundle: partition, per-shard states, the crew, and
@@ -126,6 +122,12 @@ class ShardSet {
   /// Merges the shards' round tallies into `t` in ascending shard order
   /// and adds their cut traffic to the running total.
   void fold(deliver::RoundTally& t);
+  /// Adds the cut traffic of a round counted outside the shards
+  /// (Network::exchange) to the running total.
+  void add_traffic(const deliver::RoundTally& t) {
+    total_traffic_.messages += t.traffic_messages;
+    total_traffic_.bits += t.traffic_bits;
+  }
 
   Partition part_;
   std::vector<std::unique_ptr<ShardState>> states_;

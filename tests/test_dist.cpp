@@ -1,7 +1,8 @@
 // Distributed-engine equivalence, robustness, and strict-knob contracts.
 //
-// Engine::kDist runs every communication round in K `ldc_shard` worker
-// *processes* talking to a dist::Coordinator over sockets; this file pins
+// Engine::kDist resolves masked and faulty broadcast rounds in K
+// `ldc_shard` worker *processes* talking to a dist::Coordinator over
+// sockets (outbox rounds stay in the coordinator's Network); this file pins
 // the contract ISSUE 10 states: colors, model-exact RunMetrics, trace
 // digests, and fault decisions byte-identical to kSerial and kSharded
 // for every worker count × fault plan × active mask — plus the parts
@@ -10,9 +11,8 @@
 // typed WorkerError naming the shard and round (well inside the
 // heartbeat window, with no orphan processes left behind), a SIGSTOPped
 // worker trips the heartbeat timeout, CONGEST violations and outbox
-// validation errors cross the process boundary with their original
-// exception types, and every dist knob (LDC_DIST_WORKERS,
-// heartbeat/attach timeouts) is parsed strictly — garbage throws
+// validation errors keep their original exception types, and every dist
+// knob (LDC_DIST_WORKERS, heartbeat/attach timeouts) is parsed strictly — garbage throws
 // std::invalid_argument naming the offending token, never a silent
 // fallback.
 #include <gtest/gtest.h>
@@ -266,7 +266,9 @@ struct FaultyRun {
 };
 
 // Raw multi-round exchange under a fault plan, flattening every delivered
-// payload so drop/corrupt/crash/sleep effects are byte-observable.
+// payload so drop/corrupt/crash/sleep effects are byte-observable. Each
+// explicit outbox round is followed by a masked broadcast round — the
+// shape that crosses the wire under kDist.
 FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
                               const FaultPlan& plan) {
   Network net(g);
@@ -275,17 +277,7 @@ FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
   net.attach_trace(&trace);
   net.attach_faults(&plan);
   FaultyRun out;
-  for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
-    for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, Message::from(w));
-      }
-    }
-    const auto in = net.exchange(outboxes);
+  auto flatten = [&](const RoundMail& in) {
     for (NodeId v = 0; v < g.n(); ++v) {
       for (const auto& [sender, msg] : in[v]) {
         auto rd = msg.reader();
@@ -293,15 +285,34 @@ FaultyRun run_faulty_exchange(const Graph& g, const EngineSel& sel,
             (static_cast<std::uint64_t>(v) << 32) | sender, rd.read(40)));
       }
     }
+  };
+  std::vector<bool> active(g.n());
+  for (NodeId u = 0; u < g.n(); ++u) active[u] = u % 4 != 0;
+  for (std::uint64_t r = 0; r < 6; ++r) {
+    std::vector<Network::Outbox> outboxes(g.n());
+    std::vector<Message> msgs(g.n());
+    for (NodeId u = 0; u < g.n(); ++u) {
+      for (NodeId v : g.neighbors(u)) {
+        BitWriter w;
+        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
+                40);
+        outboxes[u].emplace_back(v, Message::from(w));
+      }
+      BitWriter w;
+      w.write(hash_combine(r, u), 40);
+      msgs[u] = Message::from(w);
+    }
+    flatten(net.exchange(outboxes));
+    flatten(net.exchange_broadcast(msgs, &active));
   }
   out.metrics = net.metrics();
   out.trace_digest = trace.digest();
   return out;
 }
 
-// The fault context crosses the wire once per round (coordinator-resolved
-// down bitmap + PRF plan); every worker must re-resolve drop/corrupt
-// decisions bit-identically to the serial engine.
+// The fault context crosses the wire once per masked broadcast round
+// (coordinator-resolved down bitmap + PRF plan); every worker must
+// re-resolve drop/corrupt decisions bit-identically to the serial engine.
 TEST(Dist, FaultPlansMatchSerial) {
   const Graph g = gen::gnp(60, 0.2, 11);
   TempCorpus tc("faults");
@@ -450,27 +461,62 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
 // The logical cross-shard counters are engine-independent observability:
 // kDist over K processes must report exactly what the in-process sharded
 // engine reports for the same K — the wire adds frames and headers, never
-// logical traffic.
+// logical traffic. Two inputs: Linial (dense word rounds), and explicit
+// outbox rounds, whose cut both engines count in Network's sender pass —
+// with silent senders, mixed widths and a fault plan whose drops still
+// pay for the cut.
 TEST(Dist, CrossShardTrafficMatchesShardedEngine) {
   const Graph g = gen::gnp(60, 0.2, 11);
   TempCorpus tc("traffic");
   write_graph(g, tc.path());
-  auto run_linial = [](Network& net) { linial::color(net); };
-  for (std::size_t workers : {2u, 4u}) {
+  FaultPlan plan;
+  plan.seed = 0x7aff;
+  plan.drop_rate = 0.2;
+  plan.sleep_rate = 0.1;
+  auto run_outboxes = [&](Network& net) {
+    net.attach_faults(&plan);
+    for (std::uint64_t r = 0; r < 3; ++r) {
+      std::vector<Network::Outbox> outboxes(g.n());
+      for (NodeId u = 0; u < g.n(); ++u) {
+        if ((u + r) % 3 == 0) continue;
+        for (NodeId v : g.neighbors(u)) {
+          BitWriter w;
+          w.write(u ^ v, 8 + (u + v + r) % 25);
+          outboxes[u].emplace_back(v, Message::from(w));
+        }
+      }
+      (void)net.exchange(outboxes);
+    }
+  };
+  const std::pair<const char*, std::function<void(Network&)>> inputs[] = {
+      {"linial", [](Network& net) { linial::color(net); }},
+      {"outboxes", run_outboxes},
+  };
+  {
+    // The outbox input must actually cross the cut.
     Network sharded(g);
-    sharded.set_engine(Network::Engine::kSharded, workers);
-    run_linial(sharded);
-    const ShardTraffic want = sharded.cross_shard_traffic();
-
+    sharded.set_engine(Network::Engine::kSharded, 2);
+    run_outboxes(sharded);
+    EXPECT_GT(sharded.cross_shard_traffic().messages, 0u);
+  }
+  for (std::size_t workers : {2u, 4u}) {
     CoordinatorOptions opt;
     opt.workers = workers;
     Coordinator coord(tc.path(), opt);
-    Network net(coord.corpus_graph());
-    net.attach_dist(&coord);
-    run_linial(net);
-    const ShardTraffic got = net.cross_shard_traffic();
-    EXPECT_EQ(want.messages, got.messages) << workers << " workers";
-    EXPECT_EQ(want.bits, got.bits) << workers << " workers";
+    for (const auto& [name, input] : inputs) {
+      Network sharded(g);
+      sharded.set_engine(Network::Engine::kSharded, workers);
+      input(sharded);
+      const ShardTraffic want = sharded.cross_shard_traffic();
+
+      Network net(coord.corpus_graph());
+      net.attach_dist(&coord);
+      input(net);
+      const ShardTraffic got = net.cross_shard_traffic();
+      EXPECT_EQ(want.messages, got.messages)
+          << name << " @ " << workers << " workers";
+      EXPECT_EQ(want.bits, got.bits) << name << " @ " << workers << " workers";
+    }
     // The physical wire actually moved frames (attach handshake at
     // minimum), and the counters reconcile sent vs received directions.
     const dist::WireStats ws = coord.wire_stats();
@@ -530,7 +576,9 @@ TEST(Dist, AttachRejectsCorpusContentDigestMismatch) {
 // kill -9 one worker mid-run: the next round must fail with a typed
 // WorkerError naming the dead shard and the round — detected via EOF,
 // i.e. well inside the heartbeat window — and the coordinator teardown
-// must leave no orphan worker processes behind.
+// must leave no orphan worker processes behind. The rounds are masked
+// broadcasts: a non-null active mask is what sends a round to the workers
+// (kBcast); all-live and outbox rounds never leave the coordinator.
 TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
   const Graph g = gen::gnp(40, 0.2, 21);
   TempCorpus tc("kill");
@@ -547,17 +595,15 @@ TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
 
     Network net(coord.corpus_graph());
     net.attach_dist(&coord);
-    auto round = [&] {
-      std::vector<Network::Outbox> out(g.n());
-      for (NodeId u = 0; u < g.n(); ++u) {
-        for (NodeId v : g.neighbors(u)) {
-          BitWriter w;
-          w.write(u ^ v, 24);
-          out[u].emplace_back(v, Message::from(w));
-        }
-      }
-      return net.exchange(out);
-    };
+    std::vector<Message> msgs(g.n());
+    for (NodeId u = 0; u < g.n(); ++u) {
+      BitWriter w;
+      w.write(u, 24);
+      msgs[u] = Message::from(w);
+    }
+    std::vector<bool> active(g.n(), true);
+    active[0] = false;
+    auto round = [&] { return net.exchange_broadcast(msgs, &active); };
     EXPECT_EQ(round().size(), g.n());  // one clean round first
 
     ASSERT_EQ(::kill(pids[1], SIGKILL), 0);
@@ -584,8 +630,9 @@ TEST(Dist, WorkerKilledMidRunYieldsTypedErrorNamingShardAndRound) {
 }
 
 // A hung (SIGSTOPped) worker never closes its socket, so only the
-// heartbeat window can catch it: the round must abort with a WorkerError
-// naming the silent shard within ~the configured window.
+// heartbeat window can catch it: the round — a masked broadcast, so it
+// reaches the workers — must abort with a WorkerError naming the silent
+// shard within ~the configured window.
 TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
   const Graph g = gen::ring(24);
   TempCorpus tc("hang");
@@ -599,17 +646,14 @@ TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
   net.attach_dist(&coord);
 
   ASSERT_EQ(::kill(pids[0], SIGSTOP), 0);
-  std::vector<Network::Outbox> out(g.n());
-  for (NodeId u = 0; u < g.n(); ++u) {
-    for (NodeId v : g.neighbors(u)) {
-      BitWriter w;
-      w.write(1, 1);
-      out[u].emplace_back(v, Message::from(w));
-    }
-  }
+  BitWriter w;
+  w.write(1, 1);
+  const std::vector<Message> msgs(g.n(), Message::from(w));
+  std::vector<bool> active(g.n(), true);
+  active[0] = false;
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    net.exchange(out);
+    net.exchange_broadcast(msgs, &active);
     ADD_FAILURE() << "expected WorkerError on heartbeat timeout";
   } catch (const WorkerError& e) {
     const std::string what = e.what();
@@ -623,10 +667,10 @@ TEST(Dist, HungWorkerTripsHeartbeatTimeout) {
   ASSERT_EQ(::kill(pids[0], SIGCONT), 0);  // let shutdown run cleanly
 }
 
-// Typed errors cross the process boundary with their original types:
-// a strict CONGEST violation inside a worker surfaces as
-// CongestViolation, an invalid outbox as std::invalid_argument — exactly
-// what the in-process engines throw.
+// Typed errors keep their original types under kDist: a strict CONGEST
+// violation surfaces as CongestViolation, an invalid outbox as
+// std::invalid_argument — exactly what the in-process engines throw. Both
+// are raised by the coordinator's own sender pass, before any frame.
 TEST(Dist, WorkerErrorsKeepTheirTypesAcrossTheWire) {
   const Graph g = gen::ring(16);
   TempCorpus tc("typed");
