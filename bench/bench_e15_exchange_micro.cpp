@@ -6,9 +6,14 @@
 // and model (LOCAL / CONGEST). Deterministic columns: the per-round
 // traffic and the serial steady-state allocation verdict — the committed
 // baseline therefore *enforces* that a steady-state serial round performs
-// zero heap allocations (payloads are shared handles, the arena reuses
-// its buffers, no trace is attached to the timing network). Observational
-// columns report rounds/sec and the measured allocation counts/bytes.
+// zero heap allocations (the arena reuses its buffers, no trace is
+// attached to the timing network, and a delivery copies the sender's
+// Message: by value for payloads of at most 64 bits — every payload here
+// is 32 or 64 bits, so a slot copy is one word and touches no refcount —
+// or as a handle onto a shared copy-on-write block for longer ones).
+// sizeof(Message) is 16 bytes, so a (sender, Message) slot is 24.
+// Observational columns report rounds/sec and the measured allocation
+// counts/bytes.
 //
 // This TU also carries the binary-wide operator new/delete replacement
 // that implements the counters. It is malloc-backed and counting-only, so

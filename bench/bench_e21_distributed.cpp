@@ -7,7 +7,8 @@
 // pipeline under kDist at K in {1, 2, 4} must reproduce the serial
 // engine's trace digest, communication metrics and coloring byte for
 // byte — and so must kSharded at the same K, which pins the three
-// engines to one another. E21b extends the gate to faulty rounds: the
+// engines to one another. E21b extends the gate to masked, faulty
+// broadcast rounds, which the worker processes resolve: the
 // drop/corrupt/crash/sleep decisions are pure PRF functions of
 // (seed, round, edge), so the flattened delivered payloads digest
 // identically no matter which process resolved them. E21c is the cost
@@ -147,8 +148,10 @@ struct FaultyOut {
   std::uint64_t trace_digest = 0;
 };
 
-/// Six explicit exchange rounds under a fault plan, digesting every
-/// delivered (receiver, sender, payload) triple in inbox order.
+/// Six masked broadcast rounds under a fault plan, digesting every
+/// delivered (receiver, sender, payload) triple in inbox order. Masked
+/// and faulty broadcast rounds are the ones kDist resolves in its worker
+/// processes, so the dist rows compare decisions made across processes.
 FaultyOut run_faulty(const Graph& g, const EngineSel& sel,
                      const FaultPlan& plan) {
   Network net(g);
@@ -158,16 +161,16 @@ FaultyOut run_faulty(const Graph& g, const EngineSel& sel,
   net.attach_faults(&plan);
   FaultyOut out;
   for (std::uint64_t r = 0; r < 6; ++r) {
-    std::vector<Network::Outbox> outboxes(g.n());
+    std::vector<Message> msgs(g.n());
+    std::vector<bool> active(g.n(), false);
     for (NodeId u = 0; u < g.n(); ++u) {
-      for (NodeId v : g.neighbors(u)) {
-        BitWriter w;
-        w.write(hash_combine(r, (static_cast<std::uint64_t>(u) << 20) | v),
-                40);
-        outboxes[u].emplace_back(v, Message::from(w));
-      }
+      if ((u + r) % 5 == 0) continue;  // every fifth sender stays silent
+      active[u] = true;
+      BitWriter w;
+      w.write(hash_combine(r, u), 40);
+      msgs[u] = Message::from(w);
     }
-    const auto in = net.exchange(outboxes);
+    const auto in = net.exchange_broadcast(msgs, &active);
     for (NodeId v = 0; v < g.n(); ++v) {
       for (const auto& [sender, msg] : in[v]) {
         auto rd = msg.reader();
@@ -279,7 +282,8 @@ void run(harness::ExperimentContext& ctx) {
   for (std::size_t k : ks) fault_sels.push_back(dist_sel(fault_fleet.at(k)));
 
   auto& faults = ctx.table(
-      "E21b: fault-plan equivalence across processes (6 faulty rounds, "
+      "E21b: fault-plan equivalence across processes (6 masked faulty "
+      "broadcast rounds, "
       "8-regular, n = " + std::to_string(fg.n()) + ")",
       {"plan", "engine", "dropped", "corrupted", "crashes", "sleeps",
        "payload digest", "matches serial"});

@@ -34,7 +34,7 @@ ArbdefectiveResult arbdefective_color(Network& net,
     // algorithms do, so downstream consumers see arbdefect ~ d rather
     // than a near-proper coloring.)
     std::vector<Color> proposal(n, kUncolored);
-    std::vector<Message> msgs(n);
+    std::vector<std::uint64_t> words(n, 0);
     std::vector<bool> active(n, false);
     for (NodeId v = 0; v < n; ++v) {
       if (res.phi[v] != kUncolored) continue;
@@ -62,11 +62,9 @@ ArbdefectiveResult arbdefective_color(Network& net,
       }
       proposal[v] = best;
       active[v] = true;
-      BitWriter w;
-      w.write_bounded(best, q - 1);
-      msgs[v] = Message::from(w);
+      words[v] = best;
     }
-    const auto inboxes = net.exchange_broadcast(msgs, &active);
+    const WordMail inboxes = net.exchange_broadcast_word(words, q - 1, &active);
     ++res.rounds;
 
     // Commit unless an adjacent *uncommitted* proposer with the same color
@@ -79,10 +77,8 @@ ArbdefectiveResult arbdefective_color(Network& net,
     for (NodeId v = 0; v < n; ++v) {
       if (proposal[v] == kUncolored) continue;
       bool ok = true;
-      for (const auto& [u, m] : inboxes[v]) {
-        auto r = m.reader();
-        const Color cu = static_cast<Color>(r.read_bounded(q - 1));
-        if (cu == proposal[v] && priority(u) > priority(v)) {
+      for (const WordSlot s : inboxes[v]) {
+        if (s.value == proposal[v] && priority(s.sender) > priority(v)) {
           ok = false;
           break;
         }
@@ -91,19 +87,12 @@ ArbdefectiveResult arbdefective_color(Network& net,
     }
     // Second exchange: announce commits so everyone updates loads. (One
     // bit "committed" suffices — the color was already announced.)
-    std::vector<Message> ack(n);
-    for (NodeId v = 0; v < n; ++v) {
-      if (!active[v]) continue;
-      BitWriter w;
-      w.write(commits[v] ? 1 : 0, 1);
-      ack[v] = Message::from(w);
-    }
-    const auto ackboxes = net.exchange_broadcast(ack, &active);
+    const std::vector<std::uint64_t> ack(commits.begin(), commits.end());
+    const WordMail ackboxes = net.exchange_broadcast_word(ack, 1, &active);
     ++res.rounds;
     for (NodeId v = 0; v < n; ++v) {
-      for (const auto& [u, m] : ackboxes[v]) {
-        auto r = m.reader();
-        if (r.read(1) == 1) ++load[v][proposal[u]];
+      for (const WordSlot s : ackboxes[v]) {
+        if (s.value == 1) ++load[v][proposal[s.sender]];
       }
     }
     for (NodeId v = 0; v < n; ++v) {

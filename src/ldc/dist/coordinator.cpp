@@ -510,8 +510,8 @@ void Coordinator::broadcast_fill_dist(Network& net,
   // Masked / faulty: workers resolve the per-edge drop and corruption
   // decisions and return surviving sender ids; the coordinator rebuilds
   // the payload slots (it holds the messages, so uncorrupted deliveries
-  // keep sharing one refcounted payload, as in-process) and re-resolves
-  // the pure PRF corruption on the destination's CoW copy.
+  // are plain copies of the sender's, as in-process) and re-resolves the
+  // pure PRF corruption on the destination's own copy.
   std::string payload;
   {
     PayloadWriter w;

@@ -1,7 +1,6 @@
 #include "ldc/graph/partition.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 namespace ldc {
 namespace {
@@ -55,13 +54,6 @@ Partition Partition::degree_balanced(const Graph& g, std::size_t shards) {
     starts[i] = std::min<NodeId>(starts[i], starts[i + 1] - 1);
   }
   return Partition(std::move(starts));
-}
-
-std::size_t Partition::shard_of(NodeId v) const {
-  assert(!starts_.empty() && v < starts_.back());
-  const auto it =
-      std::upper_bound(starts_.begin() + 1, starts_.end(), v);
-  return static_cast<std::size_t>(it - starts_.begin()) - 1;
 }
 
 void ShardTopology::build(const Graph& g, NodeId b, NodeId e) {

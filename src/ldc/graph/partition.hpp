@@ -43,9 +43,6 @@ class Partition {
   NodeId end(std::size_t k) const { return starts_[k + 1]; }
   NodeId n() const { return starts_.empty() ? 0 : starts_.back(); }
 
-  /// Index of the shard owning vertex v (v must be < n()).
-  std::size_t shard_of(NodeId v) const;
-
   const std::vector<NodeId>& starts() const { return starts_; }
 
  private:

@@ -88,13 +88,9 @@ Result repair(Network& net, const LdcInstance& inst, Coloring phi,
     // cannot deduce a neighbor's violation status locally (it depends on
     // the neighbor's private list), so this costs a round.
     {
-      std::vector<Message> contend_msgs(g.n());
-      for (NodeId v = 0; v < g.n(); ++v) {
-        BitWriter w;
-        w.write(is_violated[v] ? 1 : 0, 1);
-        contend_msgs[v] = Message::from(w);
-      }
-      net.exchange_broadcast(contend_msgs);
+      const std::vector<std::uint64_t> contend(is_violated.begin(),
+                                               is_violated.end());
+      net.exchange_broadcast_word(contend, 1);
       ++res.rounds;
     }
 

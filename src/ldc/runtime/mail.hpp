@@ -2,16 +2,20 @@
 //
 // Every exchange() delivers into a Network-owned MailArena — a CSR-style
 // flat mailbox (per-destination slot offsets plus one flat array of
-// (sender, Message) slots) whose buffers are reused round after round, so
-// the steady state of a run performs no per-round heap allocation. The
+// 24-byte (sender, Message) slots) whose buffers are reused round after
+// round, so the steady state of a run performs no per-round heap
+// allocation. A slot holds a copy of the sender's Message: a payload of at
+// most 64 bits is copied by value (no refcount, no allocation), a longer
+// one as a handle onto the sender's shared copy-on-write block
+// (runtime/message.hpp says why small payloads are not shared). The
 // caller receives a RoundMail: a lightweight, read-only view over the
 // arena. A RoundMail is invalidated by the next exchange() on the same
 // Network (the arena is rewritten in place); stale access throws
 // std::logic_error in every build type, so a call site that accidentally
 // holds an inbox across rounds fails loudly instead of reading the next
 // round's traffic. Callers that genuinely need delivered messages to
-// outlive the round call materialize(), which is cheap: Message handles
-// share refcounted payloads, so the copy is per-slot, not per-payload-word.
+// outlive the round call materialize(), which is cheap: it copies slots —
+// inline words and block handles — never the contents of a shared block.
 //
 // Delivery order contract: within one inbox, slots are in strictly
 // ascending sender order (each sender may send at most one message per
@@ -253,7 +257,7 @@ class RoundMail {
   const_iterator end() const { return const_iterator(this, n_); }
 
   /// Owning copy of every inbox for callers that must hold deliveries
-  /// across rounds. Cheap: Message copies share payloads.
+  /// across rounds. Cheap: a Message copy is one word or one handle.
   std::vector<std::vector<MailSlot>> materialize() const {
     check_fresh();
     std::vector<std::vector<MailSlot>> out(n_);

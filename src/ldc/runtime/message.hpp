@@ -1,22 +1,34 @@
-// A network message: a cheap handle over an immutable, refcounted bit
-// payload.
+// A network message: a bit payload with value semantics.
 //
-// The zero-copy message plane rests on this type: copying a Message — into
-// an inbox slot, across a broadcast fan-out of Delta neighbors, between
-// algorithm-side buffers — copies a shared_ptr, never the payload words.
-// Payloads are logically immutable after Message::from(); the only mutation
-// path is flip_bit() (fault-injection corruption), which is copy-on-write:
-// a shared payload is cloned before the flip, so corrupting one delivered
-// copy can never alias the sender's message or sibling deliveries. The
-// refcount is atomic, making concurrent handle copies / destruction from
-// the parallel engine's shards safe; mutating one *handle* from two threads
-// is a race on the handle itself, exactly as for any other value type.
+// The paper's CONGEST algorithms send O(log n)-bit messages, and nearly
+// every round of this repository sends a handful of bits (a color, a class
+// index, a commit flag). So a payload of at most 64 bits is held inside
+// the Message by value: copying it — into an inbox slot, across a
+// broadcast fan-out of Delta neighbors, between algorithm-side buffers —
+// copies one word, and Message::from() allocates nothing. Only a longer
+// payload lives in a heap block shared by every copy, with an atomic
+// refcount so the parallel engine's lanes may copy and drop handles
+// concurrently. Keeping small payloads out of that block matters beyond
+// the block itself: once a process has started a thread, every refcount
+// touch is a locked instruction and malloc leaves its single-thread path,
+// and a process that serves or benchmarks always has threads.
+//
+// sizeof(Message) is 16 bytes: the bit count plus one word that is either
+// the inline payload or the block pointer.
+//
+// Payloads are logically immutable after Message::from(); the only
+// mutation path is flip_bit() (fault-injection corruption). It flips only
+// this handle's bit: an inline word is this handle's own, and a shared
+// block is cloned before the flip (copy-on-write), so corrupting one
+// delivered copy can never alias the sender's message or sibling
+// deliveries. Mutating one *handle* from two threads is a race on the
+// handle itself, exactly as for any other value type.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "ldc/support/bitio.hpp"
@@ -25,65 +37,116 @@ namespace ldc {
 
 class Message {
  public:
-  Message() = default;
+  /// Longest payload held by value.
+  static constexpr std::size_t kInlineBits = 64;
 
-  /// Captures the writer's payload (one allocation; writers are usually
-  /// ephemeral). Every copy of the returned Message shares that payload.
+  Message() = default;
+  Message(const Message& o) noexcept : bits_(o.bits_), p_(o.p_) { retain(); }
+  Message(Message&& o) noexcept : bits_(o.bits_), p_(o.p_) { o.reset(); }
+  Message& operator=(const Message& o) noexcept {
+    o.retain();  // before release(): self-assignment keeps the block alive
+    release();
+    bits_ = o.bits_;
+    p_ = o.p_;
+    return *this;
+  }
+  Message& operator=(Message&& o) noexcept {
+    if (this != &o) {
+      release();
+      bits_ = o.bits_;
+      p_ = o.p_;
+      o.reset();
+    }
+    return *this;
+  }
+  ~Message() { release(); }
+
+  /// Captures the writer's payload: by value up to kInlineBits, else in
+  /// one shared block that every copy of the returned Message refers to.
   static Message from(const BitWriter& w) {
     Message m;
-    if (w.bit_count() != 0 || !w.words().empty()) {
-      m.payload_ = std::make_shared<Payload>(
-          Payload{w.words(), w.bit_count()});
+    m.bits_ = w.bit_count();
+    if (m.bits_ == 0) return m;
+    if (m.is_inline()) {
+      m.p_.word = w.words()[0];
+    } else {
+      m.p_.block = new Block{{1}, w.words()};
     }
     return m;
   }
 
+  /// A reader over the payload. An inline payload is copied into the
+  /// reader, so it stays readable after this Message is gone; a reader
+  /// over a shared block needs some handle onto that block to outlive it.
   BitReader reader() const {
-    if (payload_ == nullptr) return BitReader(&empty_words(), 0);
-    return BitReader(&payload_->words, payload_->bits);
+    if (is_inline()) return BitReader(p_.word, bits_);
+    return BitReader(p_.block->words.data(), bits_);
   }
 
-  std::size_t bit_count() const {
-    return payload_ == nullptr ? 0 : payload_->bits;
-  }
-  bool empty() const { return bit_count() == 0; }
+  std::size_t bit_count() const { return bits_; }
+  bool empty() const { return bits_ == 0; }
 
-  /// True when both handles share one payload block (zero-copy aliasing;
-  /// used by the delivery tests — empty messages share nothing).
+  /// True when both handles refer to one shared heap block (payloads of
+  /// more than kInlineBits bits; inline and empty payloads share nothing).
   bool shares_payload(const Message& other) const {
-    return payload_ != nullptr && payload_ == other.payload_;
+    return !is_inline() && !other.is_inline() && p_.block == other.p_.block;
   }
 
   /// Flips payload bit `pos`; throws std::out_of_range when
   /// pos >= bit_count() (a silent flip would corrupt adjacent heap words).
   /// Fault-injection support: the runtime's corruption faults alter
   /// payloads while keeping the exact bit length (so CONGEST accounting is
-  /// unaffected). Copy-on-write: a payload shared with other handles is
-  /// cloned first, so only this handle observes the flip.
+  /// unaffected). Only this handle observes the flip: an inline word is its
+  /// own, and a block shared with other handles is cloned first.
   void flip_bit(std::size_t pos) {
-    if (payload_ == nullptr || pos >= payload_->bits) {
+    if (pos >= bits_) {
       throw std::out_of_range("Message::flip_bit: bit position " +
                               std::to_string(pos) + " >= bit count " +
-                              std::to_string(bit_count()));
+                              std::to_string(bits_));
     }
-    if (payload_.use_count() != 1) {
-      payload_ = std::make_shared<Payload>(*payload_);
+    const std::uint64_t mask = std::uint64_t{1} << (pos % 64);
+    if (is_inline()) {
+      p_.word ^= mask;
+      return;
     }
-    payload_->words[pos / 64] ^= std::uint64_t{1} << (pos % 64);
+    if (p_.block->refs.load(std::memory_order_acquire) != 1) {
+      Block* own = new Block{{1}, p_.block->words};
+      release();
+      p_.block = own;
+    }
+    p_.block->words[pos / 64] ^= mask;
   }
 
  private:
-  struct Payload {
+  struct Block {
+    std::atomic<std::uint32_t> refs;
     std::vector<std::uint64_t> words;
-    std::size_t bits = 0;
+  };
+  /// The inline payload word, or the shared block; bits_ says which.
+  union Payload {
+    std::uint64_t word;
+    Block* block;
   };
 
-  static const std::vector<std::uint64_t>& empty_words() {
-    static const std::vector<std::uint64_t> kEmpty;
-    return kEmpty;
+  bool is_inline() const { return bits_ <= kInlineBits; }
+  void retain() const {
+    if (!is_inline()) p_.block->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void release() {
+    if (!is_inline() &&
+        p_.block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      delete p_.block;
+    }
+  }
+  void reset() {
+    bits_ = 0;
+    p_.word = 0;
   }
 
-  std::shared_ptr<Payload> payload_;
+  std::size_t bits_ = 0;
+  Payload p_{0};
 };
+
+static_assert(sizeof(Message) == 16, "bit count + payload word");
 
 }  // namespace ldc

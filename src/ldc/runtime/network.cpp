@@ -199,7 +199,7 @@ void Network::broadcast_fill(const std::vector<Message>& msgs,
       rule, 0, n, all_live, sends, t, a.offsets_.data());
   if (a.slots_.size() != total) a.slots_.resize(total);
 
-  // Fill (by destination): v's inbox is one shared handle per surviving
+  // Fill (by destination): v's inbox is one message copy per surviving
   // in-neighbor. Parallelizing by destination is race-free: spans are
   // disjoint and all reads are const.
   auto fill = [&](std::size_t b, std::size_t e, std::size_t) {

@@ -162,10 +162,11 @@ class Network {
   /// null) broadcasts msgs[v] to all its neighbors. Both vectors must have
   /// one entry per node. This is a fast path, not a wrapper: no outboxes
   /// are materialized — the arena is filled receiver-side straight from the
-  /// graph's CSR, and each delivered slot is one shared payload handle per
-  /// live in-neighbor. Observable behavior (metrics, trace, faults, inbox
-  /// contents/order, strict-CONGEST errors) is identical to building the
-  /// equivalent outboxes and calling exchange(). The returned view obeys
+  /// graph's CSR, and each delivered slot is one copy of the sender's
+  /// message per live in-neighbor (a word, or a handle onto a shared
+  /// block for payloads over 64 bits). Observable behavior (metrics,
+  /// trace, faults, inbox contents/order, strict-CONGEST errors) is
+  /// identical to building the equivalent outboxes and calling exchange(). The returned view obeys
   /// the same one-round lifetime as exchange().
   RoundMail exchange_broadcast(const std::vector<Message>& msgs,
                                const std::vector<bool>* active = nullptr);

@@ -44,9 +44,9 @@ std::uint64_t BitReader::read(int bits) {
   if (bits == 0) return 0;
   const std::size_t word = pos_ / 64;
   const int offset = static_cast<int>(pos_ % 64);
-  std::uint64_t value = (*words_)[word] >> offset;
+  std::uint64_t value = at(word) >> offset;
   const int spill = offset + bits - 64;
-  if (spill > 0) value |= (*words_)[word + 1] << (bits - spill);
+  if (spill > 0) value |= at(word + 1) << (bits - spill);
   if (bits < 64) value &= (std::uint64_t{1} << bits) - 1;
   pos_ += static_cast<std::size_t>(bits);
   return value;

@@ -37,13 +37,21 @@ class BitWriter {
   std::size_t bit_count_ = 0;
 };
 
-/// Sequential reader over a BitWriter's payload.
+/// Sequential reader over a packed payload: either borrowed words (a
+/// writer's storage or a shared message block, which must outlive the
+/// reader unchanged) or one word held by value (an inline message payload
+/// of at most 64 bits, so a reader taken from a temporary stays readable).
 class BitReader {
  public:
   explicit BitReader(const BitWriter& w)
-      : words_(&w.words()), bit_count_(w.bit_count()) {}
-  BitReader(const std::vector<std::uint64_t>* words, std::size_t bit_count)
+      : words_(w.words().data()), bit_count_(w.bit_count()) {}
+  BitReader(const std::uint64_t* words, std::size_t bit_count)
       : words_(words), bit_count_(bit_count) {}
+  /// Holds `word` itself; `bit_count` must be <= 64.
+  BitReader(std::uint64_t word, std::size_t bit_count)
+      : word_(word), bit_count_(bit_count) {
+    assert(bit_count <= 64);
+  }
 
   /// Reads `bits` bits; throws std::out_of_range on overrun (corrupted
   /// payloads can derail variable-length decodes, so the error must be
@@ -60,7 +68,12 @@ class BitReader {
   std::size_t remaining() const { return bit_count_ - pos_; }
 
  private:
-  const std::vector<std::uint64_t>* words_;
+  std::uint64_t at(std::size_t i) const {
+    return words_ == nullptr ? word_ : words_[i];
+  }
+
+  const std::uint64_t* words_ = nullptr;  ///< nullptr: read word_
+  std::uint64_t word_ = 0;
   std::size_t bit_count_;
   std::size_t pos_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "ldc/support/prf.hpp"
@@ -85,6 +86,29 @@ TEST(BitIo, VarintRoundTrip) {
   BitReader r(w);
   for (auto v : values) EXPECT_EQ(r.read_varint(), v);
   EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(BitIo, WordReaderHoldsItsWordAtTheBoundary) {
+  // The by-value reader (inline message payloads) against the borrowed
+  // one, at widths 0, 1, 63 and 64 — the shifts at the word boundary.
+  const std::uint64_t v = 0x8123456789abcdefULL;
+  for (const int bits : {0, 1, 63, 64}) {
+    BitWriter w;
+    w.write(v, bits);
+    const std::uint64_t packed = bits == 0 ? 0 : w.words()[0];
+    BitReader held(packed, static_cast<std::size_t>(bits));
+    BitReader borrowed(w.words().data(), w.bit_count());
+    const std::uint64_t mask =
+        bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    EXPECT_EQ(held.read(bits), v & mask) << bits;
+    EXPECT_EQ(borrowed.read(bits), v & mask) << bits;
+    EXPECT_EQ(held.remaining(), 0u) << bits;
+    EXPECT_THROW(held.read(1), std::out_of_range) << bits;
+  }
+  // Two reads split one held word.
+  BitReader r(v, 64);
+  EXPECT_EQ(r.read(60), v & ((std::uint64_t{1} << 60) - 1));
+  EXPECT_EQ(r.read(4), v >> 60);
 }
 
 TEST(BitIo, RandomRoundTrip) {

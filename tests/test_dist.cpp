@@ -466,7 +466,9 @@ TEST(Dist, BroadcastAndWordPathsMatchSerialReference) {
 // with silent senders, mixed widths and a fault plan whose drops still
 // pay for the cut.
 TEST(Dist, CrossShardTrafficMatchesShardedEngine) {
-  const Graph g = gen::gnp(60, 0.2, 11);
+  // Sparse enough (n >> Delta^2) that Linial runs rounds, so its cut
+  // traffic is nonzero and the comparison below pins something.
+  const Graph g = gen::random_regular(400, 4, 11);
   TempCorpus tc("traffic");
   write_graph(g, tc.path());
   FaultPlan plan;
@@ -513,6 +515,8 @@ TEST(Dist, CrossShardTrafficMatchesShardedEngine) {
       net.attach_dist(&coord);
       input(net);
       const ShardTraffic got = net.cross_shard_traffic();
+      EXPECT_GT(want.messages, 0u) << name << " @ " << workers << " workers";
+      EXPECT_GT(want.bits, 0u) << name << " @ " << workers << " workers";
       EXPECT_EQ(want.messages, got.messages)
           << name << " @ " << workers << " workers";
       EXPECT_EQ(want.bits, got.bits) << name << " @ " << workers << " workers";

@@ -27,6 +27,18 @@ Message make_msg(std::uint64_t value, int bits) {
   return Message::from(w);
 }
 
+/// Tail of make_wide_msg payloads; part of what a clean delivery reads.
+constexpr std::uint64_t kWideTail = 0x5a5a5a5a5a5a5a5aULL;
+
+/// `value` in the low `bits` bits, then the 64-bit kWideTail: always longer
+/// than Message::kInlineBits, so the payload lives in a shared block.
+Message make_wide_msg(std::uint64_t value, int bits) {
+  BitWriter w;
+  w.write(value, bits);
+  w.write(kWideTail, 64);
+  return Message::from(w);
+}
+
 TEST(FaultPlan, DecisionsAreDeterministic) {
   FaultPlan p;
   p.seed = 77;
@@ -110,7 +122,7 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
   FaultPlan p;
   p.seed = 5;
   p.corrupt_rate = 1.0;
-  Message m = make_msg(0x0f0f, 16);
+  Message m = make_wide_msg(0x0f0f, 16);
   Message shared = m;
   ASSERT_TRUE(shared.shares_payload(m));
   p.corrupt_payload(1, 0, 1, shared);
@@ -118,13 +130,77 @@ TEST(FaultPlan, CorruptPayloadClonesSharedPayloads) {
   EXPECT_FALSE(shared.shares_payload(m));
   auto r = m.reader();
   EXPECT_EQ(r.read(16), 0x0f0fu);
+  EXPECT_EQ(r.read(64), kWideTail);
 }
 
-// The zero-copy plane delivers one shared payload handle per receiver; a
-// corruption fault must clone before flipping (CoW), so a corrupted
-// delivery can never mutate the sender's message or the clean copies that
-// sibling receivers got — under either engine.
+TEST(FaultPlan, CorruptPayloadLeavesInlineCopiesIntact) {
+  FaultPlan p;
+  p.seed = 5;
+  p.corrupt_rate = 1.0;
+  for (const int bits : {1, 16, 64}) {
+    const Message m = make_msg(0x0f0f, bits);
+    Message copy = m;
+    p.corrupt_payload(1, 0, 1, copy);
+    EXPECT_EQ(copy.bit_count(), m.bit_count()) << bits;
+    EXPECT_FALSE(copy.shares_payload(m)) << bits;
+    auto r = m.reader();
+    auto rc = copy.reader();
+    const std::uint64_t delta = r.read(bits) ^ rc.read(bits);
+    EXPECT_NE(delta, 0u) << bits;
+    EXPECT_EQ(delta & (delta - 1), 0u) << bits;  // exactly one bit
+    auto again = m.reader();
+    const std::uint64_t mask =
+        bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1;
+    EXPECT_EQ(again.read(bits), 0x0f0fu & mask) << bits;
+  }
+}
+
+// Payloads longer than the inline word are delivered as one shared block
+// handle per receiver; a corruption fault must clone before flipping
+// (CoW), so a corrupted delivery can never mutate the sender's message or
+// the clean copies that sibling receivers got — under either engine.
 TEST(Network, CorruptionNeverMutatesSenderOrSiblingCopies) {
+  const Graph g = gen::clique(6);
+  for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    Network net(g);
+    if (threads != 0) net.set_engine(Network::Engine::kParallel, threads);
+    FaultPlan p;
+    p.seed = 21;
+    p.corrupt_rate = 0.4;
+    net.attach_faults(&p);
+    std::vector<Message> msgs(6);
+    for (NodeId v = 0; v < 6; ++v) msgs[v] = make_wide_msg(0x500u + v, 12);
+    auto in = net.exchange_broadcast(msgs);
+    // The schedule must mix corrupted and clean deliveries for the test to
+    // mean anything (deterministic in the plan seed).
+    ASSERT_GT(net.metrics().messages_corrupted, 0u);
+    ASSERT_LT(net.metrics().messages_corrupted, 30u);
+    for (NodeId v = 0; v < 6; ++v) {
+      for (const auto& [u, m] : in[v]) {
+        auto r = m.reader();
+        const bool head_clean = r.read(12) == 0x500u + u;
+        if (head_clean && r.read(64) == kWideTail) {
+          // Clean delivery: still the sender's own payload block.
+          EXPECT_TRUE(m.shares_payload(msgs[u]));
+        } else {
+          // Corrupted delivery: cloned before the flip.
+          EXPECT_FALSE(m.shares_payload(msgs[u]));
+        }
+      }
+    }
+    // No corruption leaked into the senders' handles.
+    for (NodeId u = 0; u < 6; ++u) {
+      auto r = msgs[u].reader();
+      EXPECT_EQ(r.read(12), 0x500u + u);
+      EXPECT_EQ(r.read(64), kWideTail);
+    }
+  }
+}
+
+// The same contract for inline payloads, which every delivery copies by
+// value: a corrupted slot flips its own word only, so the sender's message
+// and the sibling receivers' copies read clean — under either engine.
+TEST(Network, InlineCorruptionNeverTouchesSenderOrSiblings) {
   const Graph g = gen::clique(6);
   for (const std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     Network net(g);
@@ -136,23 +212,26 @@ TEST(Network, CorruptionNeverMutatesSenderOrSiblingCopies) {
     std::vector<Message> msgs(6);
     for (NodeId v = 0; v < 6; ++v) msgs[v] = make_msg(0x500u + v, 12);
     auto in = net.exchange_broadcast(msgs);
-    // The schedule must mix corrupted and clean deliveries for the test to
-    // mean anything (deterministic in the plan seed).
-    ASSERT_GT(net.metrics().messages_corrupted, 0u);
-    ASSERT_LT(net.metrics().messages_corrupted, 30u);
+    const std::uint64_t corrupted = net.metrics().messages_corrupted;
+    ASSERT_GT(corrupted, 0u);
+    ASSERT_LT(corrupted, 30u);
+    std::uint64_t dirty = 0;
     for (NodeId v = 0; v < 6; ++v) {
       for (const auto& [u, m] : in[v]) {
+        EXPECT_FALSE(m.shares_payload(msgs[u]));
+        ASSERT_EQ(m.bit_count(), 12u);
         auto r = m.reader();
-        if (r.read(12) == 0x500u + u) {
-          // Clean delivery: still the sender's own payload block.
-          EXPECT_TRUE(m.shares_payload(msgs[u]));
-        } else {
-          // Corrupted delivery: cloned before the flip.
-          EXPECT_FALSE(m.shares_payload(msgs[u]));
+        const std::uint64_t delta = r.read(12) ^ (0x500u + u);
+        // Clean, or exactly the one bit the plan flipped on this edge.
+        EXPECT_EQ(delta & (delta - 1), 0u);
+        if (delta != 0) {
+          ++dirty;
+          EXPECT_TRUE(p.corrupts_message(0, u, v)) << u << "->" << v;
         }
       }
     }
-    // No corruption leaked into the senders' handles.
+    // Every corrupted delivery shows its flip; no clean one does.
+    EXPECT_EQ(dirty, corrupted);
     for (NodeId u = 0; u < 6; ++u) {
       auto r = msgs[u].reader();
       EXPECT_EQ(r.read(12), 0x500u + u);

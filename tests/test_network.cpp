@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ldc/graph/generators.hpp"
 
 namespace ldc {
@@ -10,6 +12,15 @@ namespace {
 Message make_msg(std::uint64_t value, int bits) {
   BitWriter w;
   w.write(value, bits);
+  return Message::from(w);
+}
+
+/// `value` in the low `bits` bits, then a 64-bit zero tail: always longer
+/// than Message::kInlineBits, so the payload lives in a shared block.
+Message make_wide_msg(std::uint64_t value, int bits) {
+  BitWriter w;
+  w.write(value, bits);
+  w.write(0, 64);
   return Message::from(w);
 }
 
@@ -277,7 +288,8 @@ TEST(Message, FlipBitOutOfRangeThrows) {
 }
 
 TEST(Message, CopiesSharePayloadUntilMutation) {
-  Message m = make_msg(0xbeef, 16);
+  Message m = make_wide_msg(0xbeef, 16);
+  ASSERT_GT(m.bit_count(), Message::kInlineBits);
   Message copy = m;
   EXPECT_TRUE(copy.shares_payload(m));
   copy.flip_bit(0);  // copy-on-write detaches the mutated handle
@@ -290,16 +302,113 @@ TEST(Message, CopiesSharePayloadUntilMutation) {
   EXPECT_FALSE(Message().shares_payload(Message()));
 }
 
+// Payloads up to kInlineBits travel by value; one bit more moves them into
+// a shared block. Both sides of the boundary round-trip exactly.
+TEST(Message, RoundTripsAcrossTheInlineBoundary) {
+  for (const int bits : {0, 1, 63, 64, 65}) {
+    BitWriter w;
+    const std::uint64_t head = 0xfedcba9876543210ULL;
+    w.write(head, bits < 64 ? bits : 64);
+    if (bits > 64) w.write(1, bits - 64);
+    const Message m = Message::from(w);
+    ASSERT_EQ(m.bit_count(), static_cast<std::size_t>(bits)) << bits;
+    EXPECT_EQ(m.empty(), bits == 0) << bits;
+    auto r = m.reader();
+    const int low = bits < 64 ? bits : 64;
+    const std::uint64_t mask =
+        low == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << low) - 1;
+    EXPECT_EQ(r.read(low), head & mask) << bits;
+    if (bits > 64) EXPECT_EQ(r.read(bits - 64), 1u) << bits;
+    EXPECT_EQ(r.remaining(), 0u) << bits;
+    EXPECT_THROW(r.read(1), std::out_of_range) << bits;
+    // A copy reads the same payload; only the 65-bit one shares a block.
+    const Message copy = m;
+    auto rc = copy.reader();
+    EXPECT_EQ(rc.read(low), head & mask) << bits;
+    EXPECT_EQ(copy.shares_payload(m), bits > 64) << bits;
+  }
+}
+
+TEST(Message, InlineCopiesAreIndependentUnderFlip) {
+  const Message m = make_msg(0xbeef, 16);
+  Message copy = m;
+  Message other = copy;
+  copy.flip_bit(0);
+  other.flip_bit(15);
+  auto r = m.reader();
+  EXPECT_EQ(r.read(16), 0xbeefu);
+  auto rc = copy.reader();
+  EXPECT_EQ(rc.read(16), 0xbeeeu);
+  auto ro = other.reader();
+  EXPECT_EQ(ro.read(16), 0x3eefu);
+  // Bit 63 of a full inline word: the flip stays inside the handle's word.
+  Message full = make_msg(0, 64);
+  const Message before = full;
+  full.flip_bit(63);
+  auto rf = full.reader();
+  EXPECT_EQ(rf.read(64), std::uint64_t{1} << 63);
+  auto rb = before.reader();
+  EXPECT_EQ(rb.read(64), 0u);
+  EXPECT_THROW(full.flip_bit(64), std::out_of_range);
+}
+
+TEST(Message, InlineHandlesNeverSharePayloads) {
+  const Message m = make_msg(0xbeef, 16);
+  const Message copy = m;
+  EXPECT_FALSE(copy.shares_payload(m));
+  EXPECT_FALSE(m.shares_payload(m));
+  EXPECT_FALSE(make_msg(0, 64).shares_payload(make_msg(0, 64)));
+  // An inline handle never compares equal to a block handle either.
+  const Message wide = make_wide_msg(0xbeef, 16);
+  EXPECT_FALSE(m.shares_payload(wide));
+  EXPECT_FALSE(wide.shares_payload(m));
+}
+
+TEST(Message, ReaderOfATemporarySmallMessageStaysReadable) {
+  // The reader holds an inline payload by value, so the Message it came
+  // from may be gone before the first read.
+  BitReader r = make_msg(0x2a5, 10).reader();
+  BitReader full = make_msg(0x8000000000000001ULL, 64).reader();
+  EXPECT_EQ(r.read(4), 0x5u);
+  EXPECT_EQ(r.read(6), 0x2au);
+  EXPECT_EQ(full.read(64), 0x8000000000000001ULL);
+  // Readers are values too: a copy reads on independently.
+  BitReader again = make_msg(0x3, 2).reader();
+  BitReader copy = again;
+  EXPECT_EQ(again.read(2), 0x3u);
+  EXPECT_EQ(copy.read(1), 1u);
+  EXPECT_EQ(copy.remaining(), 1u);
+}
+
+TEST(Message, MovedFromHandleIsEmpty) {
+  for (const int bits : {16, 80}) {
+    Message m = bits > 64 ? make_wide_msg(0xbeef, 16) : make_msg(0xbeef, 16);
+    const Message keep = m;
+    Message taken = std::move(m);
+    EXPECT_EQ(taken.bit_count(), keep.bit_count()) << bits;
+    EXPECT_EQ(m.bit_count(), 0u) << bits;  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(taken.shares_payload(keep), bits > 64) << bits;
+    m = taken;  // a moved-from handle is assignable
+    auto r = m.reader();
+    EXPECT_EQ(r.read(16), 0xbeefu) << bits;
+    const Message& self = m;
+    m = self;  // self-assignment keeps the payload
+    auto r2 = m.reader();
+    EXPECT_EQ(r2.read(16), 0xbeefu) << bits;
+  }
+}
+
 TEST(Network, BroadcastDeliversSharedPayloadHandles) {
   const Graph g = gen::clique(4);
   Network net(g);
   std::vector<Message> msgs(4);
-  for (NodeId v = 0; v < 4; ++v) msgs[v] = make_msg(v + 1, 8);
+  for (NodeId v = 0; v < 4; ++v) msgs[v] = make_wide_msg(v + 1, 8);
   auto in = net.exchange_broadcast(msgs);
   for (NodeId v = 0; v < 4; ++v) {
     ASSERT_EQ(in[v].size(), 3u);
     for (const auto& [u, m] : in[v]) {
-      // Zero-copy: every delivery is a handle onto the sender's payload.
+      // Zero-copy: every delivery of a payload longer than the inline word
+      // is a handle onto the sender's block.
       EXPECT_TRUE(m.shares_payload(msgs[u]));
     }
   }

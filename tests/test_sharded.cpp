@@ -681,11 +681,13 @@ TEST(Sharded, PartitionContiguousCoversAndLocates) {
   EXPECT_EQ(p.n(), 10u);
   const std::vector<NodeId> want = {0, 4, 7, 10};
   EXPECT_EQ(p.starts(), want);
-  for (NodeId v = 0; v < 10; ++v) {
-    const std::size_t k = p.shard_of(v);
-    EXPECT_GE(v, p.begin(k)) << v;
-    EXPECT_LT(v, p.end(k)) << v;
+  // Every vertex lies in exactly one shard's [begin(k), end(k)).
+  std::vector<int> owners(10, 0);
+  for (std::size_t k = 0; k < p.shards(); ++k) {
+    ASSERT_LE(p.begin(k), p.end(k)) << k;
+    for (NodeId v = p.begin(k); v < p.end(k); ++v) ++owners[v];
   }
+  for (NodeId v = 0; v < 10; ++v) EXPECT_EQ(owners[v], 1) << v;
   // More shards than vertices: clamped to one vertex per shard.
   const Partition q = Partition::contiguous(3, 7);
   EXPECT_EQ(q.shards(), 3u);
